@@ -57,19 +57,21 @@ func TestBackwardMatchesNumericGradient(t *testing.T) {
 		}
 		m.ZeroGrad()
 		dIn := m.Backward(tape, []float64{1, 0})
-		// Check a sample of weight gradients in each layer.
-		for li, l := range m.Layers {
-			for _, idx := range [][2]int{{0, 0}, {l.Out - 1, l.In - 1}} {
+		// Check a sample of weight gradients in each layer: a row's
+		// weights sit at o·(In+1)+i, its bias at o·(In+1)+In.
+		for li, l := range m.layers {
+			stride := l.in + 1
+			for _, idx := range [][2]int{{0, 0}, {l.out - 1, l.in - 1}} {
 				o, i := idx[0], idx[1]
-				want := numericGrad(m, x, &l.W[o][i], 0)
-				got := l.gradW[o][i]
+				want := numericGrad(m, x, &l.w[o*stride+i], 0)
+				got := l.g[o*stride+i]
 				if math.Abs(got-want) > 1e-4*(1+math.Abs(want)) {
 					t.Errorf("act %d layer %d W[%d][%d]: grad %g, numeric %g", act, li, o, i, got, want)
 				}
 			}
-			want := numericGrad(m, x, &l.B[0], 0)
-			if math.Abs(l.gradB[0]-want) > 1e-4*(1+math.Abs(want)) {
-				t.Errorf("act %d layer %d B[0]: grad %g, numeric %g", act, li, l.gradB[0], want)
+			want := numericGrad(m, x, &l.w[l.in], 0)
+			if got := l.g[l.in]; math.Abs(got-want) > 1e-4*(1+math.Abs(want)) {
+				t.Errorf("act %d layer %d B[0]: grad %g, numeric %g", act, li, got, want)
 			}
 		}
 		// Input gradient via finite differences.
@@ -86,8 +88,15 @@ func TestBackwardMatchesNumericGradient(t *testing.T) {
 	}
 }
 
+// softmax returns Softmax(logits) in a fresh slice.
+func softmax(logits []float64) []float64 {
+	p := make([]float64, len(logits))
+	Softmax(p, logits)
+	return p
+}
+
 func TestSoftmax(t *testing.T) {
-	p := Softmax([]float64{1, 2, 3})
+	p := softmax([]float64{1, 2, 3})
 	var sum float64
 	for _, v := range p {
 		if v <= 0 {
@@ -102,7 +111,7 @@ func TestSoftmax(t *testing.T) {
 		t.Errorf("softmax not monotone: %v", p)
 	}
 	// Stability under large logits.
-	p = Softmax([]float64{1000, 1000, 999})
+	p = softmax([]float64{1000, 1000, 999})
 	if math.IsNaN(p[0]) {
 		t.Error("softmax overflow")
 	}
@@ -144,13 +153,14 @@ func TestSoftmaxBackwardNumeric(t *testing.T) {
 	// Verify d(-log p[a])/dlogits against finite differences.
 	logits := []float64{0.2, -0.4, 0.9}
 	action := 1
-	grad := SoftmaxBackward(Softmax(logits), action, 1.0)
+	grad := make([]float64, len(logits))
+	SoftmaxBackward(grad, softmax(logits), action, 1.0)
 	const h = 1e-6
 	for i := range logits {
 		logits[i] += h
-		up := -LogProb(Softmax(logits), action)
+		up := -LogProb(softmax(logits), action)
 		logits[i] -= 2 * h
-		down := -LogProb(Softmax(logits), action)
+		down := -LogProb(softmax(logits), action)
 		logits[i] += h
 		want := (up - down) / (2 * h)
 		if math.Abs(grad[i]-want) > 1e-5 {
@@ -162,13 +172,14 @@ func TestSoftmaxBackwardNumeric(t *testing.T) {
 func TestEntropyBackwardNumeric(t *testing.T) {
 	logits := []float64{0.1, 0.5, -0.3}
 	beta := 0.7
-	grad := EntropyBackward(Softmax(logits), beta)
+	grad := make([]float64, len(logits))
+	EntropyBackward(grad, softmax(logits), beta)
 	const h = 1e-6
 	for i := range logits {
 		logits[i] += h
-		up := -beta * Entropy(Softmax(logits))
+		up := -beta * Entropy(softmax(logits))
 		logits[i] -= 2 * h
-		down := -beta * Entropy(Softmax(logits))
+		down := -beta * Entropy(softmax(logits))
 		logits[i] += h
 		want := (up - down) / (2 * h)
 		if math.Abs(grad[i]-want) > 1e-5 {
@@ -185,13 +196,8 @@ func TestClipGrad(t *testing.T) {
 	m.Backward(tape, []float64{100})
 	m.ClipGrad(1.0)
 	var sq float64
-	for _, l := range m.Layers {
-		for o := range l.gradW {
-			for _, g := range l.gradW[o] {
-				sq += g * g
-			}
-			sq += l.gradB[o] * l.gradB[o]
-		}
+	for _, g := range m.grads {
+		sq += g * g
 	}
 	if math.Sqrt(sq) > 1.0+1e-9 {
 		t.Errorf("clipped norm = %g", math.Sqrt(sq))
@@ -241,7 +247,7 @@ func TestQuickSoftmaxDistribution(t *testing.T) {
 				return true // skip degenerate inputs
 			}
 		}
-		p := Softmax([]float64{a, b, c})
+		p := softmax([]float64{a, b, c})
 		var sum float64
 		for _, v := range p {
 			if v < 0 || math.IsNaN(v) {

@@ -7,100 +7,62 @@ type Optimizer interface {
 	Step(m *MLP)
 }
 
-// RMSProp is the optimizer the paper uses for A2C (lr 7e-4).
+// RMSProp is the optimizer the paper uses for A2C (lr 7e-4). Its state
+// follows the parameter layout of the one MLP it steps.
 type RMSProp struct {
 	LR    float64
 	Decay float64 // default 0.99
 	Eps   float64 // default 1e-5
 
-	cache map[*Dense][][]float64 // per-layer [out][in+1] squared-grad cache
+	cache []float64 // squared-gradient running mean
 }
 
 // NewRMSProp builds an RMSProp optimizer with standard decay.
 func NewRMSProp(lr float64) *RMSProp {
-	return &RMSProp{LR: lr, Decay: 0.99, Eps: 1e-5, cache: map[*Dense][][]float64{}}
+	return &RMSProp{LR: lr, Decay: 0.99, Eps: 1e-5}
 }
 
 // Step implements Optimizer.
 func (r *RMSProp) Step(m *MLP) {
-	for _, l := range m.Layers {
-		c, ok := r.cache[l]
-		if !ok {
-			c = make([][]float64, l.Out)
-			for o := range c {
-				c[o] = make([]float64, l.In+1)
-			}
-			r.cache[l] = c
-		}
-		for o := 0; o < l.Out; o++ {
-			for i := 0; i < l.In; i++ {
-				g := l.gradW[o][i]
-				c[o][i] = r.Decay*c[o][i] + (1-r.Decay)*g*g
-				l.W[o][i] -= r.LR * g / (math.Sqrt(c[o][i]) + r.Eps)
-			}
-			g := l.gradB[o]
-			c[o][l.In] = r.Decay*c[o][l.In] + (1-r.Decay)*g*g
-			l.B[o] -= r.LR * g / (math.Sqrt(c[o][l.In]) + r.Eps)
-		}
+	if len(r.cache) != len(m.params) {
+		r.cache = make([]float64, len(m.params))
+	}
+	c := r.cache
+	for i, g := range m.grads {
+		c[i] = r.Decay*c[i] + (1-r.Decay)*g*g
+		m.params[i] -= r.LR * g / (math.Sqrt(c[i]) + r.Eps)
 	}
 }
 
-// Adam is the optimizer the paper uses for PPO2 (lr 2.5e-4).
+// Adam is the optimizer the paper uses for PPO2 (lr 2.5e-4). Its state
+// follows the parameter layout of the one MLP it steps.
 type Adam struct {
 	LR     float64
 	Beta1  float64 // default 0.9
 	Beta2  float64 // default 0.999
 	Eps    float64 // default 1e-8
 	t      int
-	m1, m2 map[*Dense][][]float64
+	m1, m2 []float64 // first and second moment estimates
 }
 
 // NewAdam builds an Adam optimizer with standard betas.
 func NewAdam(lr float64) *Adam {
-	return &Adam{
-		LR: lr, Beta1: 0.9, Beta2: 0.999, Eps: 1e-8,
-		m1: map[*Dense][][]float64{}, m2: map[*Dense][][]float64{},
-	}
+	return &Adam{LR: lr, Beta1: 0.9, Beta2: 0.999, Eps: 1e-8}
 }
 
 // Step implements Optimizer.
 func (a *Adam) Step(m *MLP) {
+	if len(a.m1) != len(m.params) {
+		a.m1 = make([]float64, len(m.params))
+		a.m2 = make([]float64, len(m.params))
+	}
 	a.t++
 	bc1 := 1 - math.Pow(a.Beta1, float64(a.t))
 	bc2 := 1 - math.Pow(a.Beta2, float64(a.t))
-	for _, l := range m.Layers {
-		m1, ok := a.m1[l]
-		if !ok {
-			m1 = zeros(l)
-			a.m1[l] = m1
-			a.m2[l] = zeros(l)
-		}
-		m2 := a.m2[l]
-		for o := 0; o < l.Out; o++ {
-			for i := 0; i <= l.In; i++ {
-				var g float64
-				if i < l.In {
-					g = l.gradW[o][i]
-				} else {
-					g = l.gradB[o]
-				}
-				m1[o][i] = a.Beta1*m1[o][i] + (1-a.Beta1)*g
-				m2[o][i] = a.Beta2*m2[o][i] + (1-a.Beta2)*g*g
-				update := a.LR * (m1[o][i] / bc1) / (math.Sqrt(m2[o][i]/bc2) + a.Eps)
-				if i < l.In {
-					l.W[o][i] -= update
-				} else {
-					l.B[o] -= update
-				}
-			}
-		}
+	m1, m2 := a.m1, a.m2
+	for i, g := range m.grads {
+		m1[i] = a.Beta1*m1[i] + (1-a.Beta1)*g
+		m2[i] = a.Beta2*m2[i] + (1-a.Beta2)*g*g
+		m.params[i] -= a.LR * (m1[i] / bc1) / (math.Sqrt(m2[i]/bc2) + a.Eps)
 	}
-}
-
-func zeros(l *Dense) [][]float64 {
-	z := make([][]float64, l.Out)
-	for o := range z {
-		z[o] = make([]float64, l.In+1)
-	}
-	return z
 }

@@ -49,9 +49,12 @@ type Optimizer struct {
 	d                  []float64   // sqrt eigenvalues
 	eigenAge, eigenGap int
 
-	asked [][]float64 // z-space samples of the pending generation
+	asked [][]float64 // y = B·(D∘z) of the pending generation's samples
 	xs    [][]float64 // x-space samples of the pending generation
 	gen   int
+
+	// Per-call scratch, reused from generation to generation.
+	z, yw, bty, cInvHalfY []float64
 }
 
 // New builds a CMA-ES optimizer.
@@ -110,6 +113,12 @@ func (o *Optimizer) Init(p *m3e.Problem, rng *rng.Stream) error {
 	o.d = ones(o.n)
 	o.eigenGap = int(1/(o.c1+o.cmu)/n/10) + 1
 	o.eigenAge = 0
+	o.asked = matrix(o.lambda, o.n)
+	o.xs = matrix(o.lambda, o.n)
+	o.z = make([]float64, o.n)
+	o.yw = make([]float64, o.n)
+	o.bty = make([]float64, o.n)
+	o.cInvHalfY = make([]float64, o.n)
 	return nil
 }
 
@@ -117,17 +126,15 @@ func (o *Optimizer) Init(p *m3e.Problem, rng *rng.Stream) error {
 // each from its own (ask-round, candidate) RNG stream.
 func (o *Optimizer) Ask() []encoding.Genome {
 	o.asks++
-	o.asked = make([][]float64, o.lambda)
-	o.xs = make([][]float64, o.lambda)
 	out := make([]encoding.Genome, o.lambda)
+	z := o.z
 	for k := 0; k < o.lambda; k++ {
 		st := o.root.At(o.asks, uint64(k))
-		z := make([]float64, o.n)
 		for i := range z {
 			z[i] = st.NormFloat64()
 		}
 		// y = B·(D∘z)
-		y := make([]float64, o.n)
+		y := o.asked[k]
 		for i := 0; i < o.n; i++ {
 			var s float64
 			for j := 0; j < o.n; j++ {
@@ -135,12 +142,10 @@ func (o *Optimizer) Ask() []encoding.Genome {
 			}
 			y[i] = s
 		}
-		x := make([]float64, o.n)
+		x := o.xs[k]
 		for i := range x {
 			x[i] = o.mean[i] + o.sigma*y[i]
 		}
-		o.asked[k] = y
-		o.xs[k] = x
 		g, err := encoding.FromVector(x, o.nAccels)
 		if err != nil {
 			m3e.AbortRun(err) // cannot happen: vectors are even-length by construction
@@ -167,10 +172,9 @@ func (o *Optimizer) EliteCount(told int) int {
 func (o *Optimizer) Tell(_ []encoding.Genome, fitness []float64) {
 	idx := argsortDesc(fitness)
 	// New mean from the μ best.
-	yw := make([]float64, o.n)
-	for i := range o.mean {
-		o.mean[i] = 0
-	}
+	yw := o.yw
+	clear(yw)
+	clear(o.mean)
 	for r := 0; r < o.mu && r < len(idx); r++ {
 		k := idx[r]
 		w := o.weights[r]
@@ -181,7 +185,7 @@ func (o *Optimizer) Tell(_ []encoding.Genome, fitness []float64) {
 	}
 	// Evolution path for sigma: ps = (1-cs)·ps + sqrt(cs(2-cs)·mueff)·C^{-1/2}·yw,
 	// where C^{-1/2}·yw = B·D^{-1}·Bᵀ·yw.
-	bty := make([]float64, o.n)
+	bty := o.bty
 	for j := 0; j < o.n; j++ {
 		var s float64
 		for i := 0; i < o.n; i++ {
@@ -189,7 +193,7 @@ func (o *Optimizer) Tell(_ []encoding.Genome, fitness []float64) {
 		}
 		bty[j] = s / o.d[j]
 	}
-	cInvHalfY := make([]float64, o.n)
+	cInvHalfY := o.cInvHalfY
 	for i := 0; i < o.n; i++ {
 		var s float64
 		for j := 0; j < o.n; j++ {
@@ -262,10 +266,17 @@ func (o *Optimizer) updateEigen() {
 }
 
 func identity(n int) [][]float64 {
-	m := make([][]float64, n)
+	m := matrix(n, n)
 	for i := range m {
-		m[i] = make([]float64, n)
 		m[i][i] = 1
+	}
+	return m
+}
+
+func matrix(rows, cols int) [][]float64 {
+	m := make([][]float64, rows)
+	for i := range m {
+		m[i] = make([]float64, cols)
 	}
 	return m
 }

@@ -5,6 +5,9 @@
 package opttest
 
 import (
+	"encoding/binary"
+	"hash/fnv"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -92,4 +95,47 @@ func Battery(t *testing.T, mk func() m3e.Optimizer, budget int, improvementFacto
 			t.Errorf("best %g below %gx random mean %g", res.BestFitness, improvementFactor, randomMean)
 		}
 	})
+}
+
+// Pin is a run's trajectory fingerprint for cross-commit golden tests:
+// the exact bits of the best fitness and FNV-64a hashes of the best
+// genome, of the best-so-far curve and of every sampled vector (zero
+// unless the run set Options.RecordSamples). The curve moves only on a
+// new best; the samples move with any change to what was asked.
+type Pin struct {
+	BestFitness uint64
+	Best        uint64
+	Curve       uint64
+	Explored    uint64
+}
+
+// PinOf fingerprints a run result.
+func PinOf(res m3e.Result) Pin {
+	best := fnv.New64a()
+	var buf [8]byte
+	for _, a := range res.Best.Accel {
+		binary.LittleEndian.PutUint64(buf[:], uint64(a))
+		best.Write(buf[:])
+	}
+	for _, p := range res.Best.Prio {
+		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(p))
+		best.Write(buf[:])
+	}
+	curve := fnv.New64a()
+	for _, f := range res.Curve {
+		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(f))
+		curve.Write(buf[:])
+	}
+	pin := Pin{BestFitness: math.Float64bits(res.BestFitness), Best: best.Sum64(), Curve: curve.Sum64()}
+	if res.Explored != nil {
+		explored := fnv.New64a()
+		for _, v := range res.Explored {
+			for _, x := range v {
+				binary.LittleEndian.PutUint64(buf[:], math.Float64bits(x))
+				explored.Write(buf[:])
+			}
+		}
+		pin.Explored = explored.Sum64()
+	}
+	return pin
 }

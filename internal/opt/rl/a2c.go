@@ -45,11 +45,10 @@ func (c A2CConfig) withDefaults() A2CConfig {
 
 // A2C is the Advantage Actor-Critic mapper.
 type A2C struct {
-	cfg    A2CConfig
-	core   core
-	popt   *nn.RMSProp
-	vopt   *nn.RMSProp
-	traces [][]step
+	cfg  A2CConfig
+	core core
+	popt *nn.RMSProp
+	vopt *nn.RMSProp
 }
 
 // NewA2C builds an A2C optimizer.
@@ -60,7 +59,7 @@ func (o *A2C) Name() string { return "RL A2C" }
 
 // Init implements m3e.Optimizer.
 func (o *A2C) Init(p *m3e.Problem, rng *rng.Stream) error {
-	if err := o.core.init(p, rng, o.cfg.Hidden); err != nil {
+	if err := o.core.init(p, rng, o.cfg.Hidden, o.cfg.EpisodesPer); err != nil {
 		return err
 	}
 	o.popt = nn.NewRMSProp(o.cfg.LR)
@@ -69,63 +68,21 @@ func (o *A2C) Init(p *m3e.Problem, rng *rng.Stream) error {
 }
 
 // Ask implements m3e.Optimizer: it samples a batch of episodes.
-func (o *A2C) Ask() []encoding.Genome {
-	o.traces = o.traces[:0]
-	out := make([]encoding.Genome, o.cfg.EpisodesPer)
-	for i := range out {
-		g, trace := o.core.episode()
-		out[i] = g
-		o.traces = append(o.traces, trace)
-	}
-	return out
-}
+func (o *A2C) Ask() []encoding.Genome { return o.core.rollout() }
 
 // Tell implements m3e.Optimizer: one actor-critic update over the batch.
+// The advantage of each step is its return minus the critic's value.
 func (o *A2C) Tell(_ []encoding.Genome, fitness []float64) {
-	o.core.policy.ZeroGrad()
-	o.core.critic.ZeroGrad()
-	var steps float64
-	for ei := range fitness {
-		if ei >= len(o.traces) {
-			break
-		}
-		trace := o.traces[ei]
-		term := o.core.normalizeReward(fitness[ei])
-		rets := returns(len(trace), o.cfg.Gamma, term)
-		for t, s := range trace {
-			adv := rets[t] - s.value
-			// Policy gradient through the fresh forward pass (the
-			// sampled distribution is re-derived so backprop has a tape).
-			pt, err := o.core.policy.Forward(s.obs)
-			if err != nil {
-				m3e.AbortRun(err)
-			}
-			probs := nn.Softmax(pt.Out)
-			dLogits := nn.SoftmaxBackward(probs, s.action, adv)
-			ent := nn.EntropyBackward(probs, o.cfg.EntropyBeta)
-			for i := range dLogits {
-				dLogits[i] += ent[i]
-			}
-			o.core.policy.Backward(pt, dLogits)
-
-			vt, err := o.core.critic.Forward(s.obs)
-			if err != nil {
-				m3e.AbortRun(err)
-			}
-			vErr := vt.Out[0] - rets[t]
-			o.core.critic.Backward(vt, []float64{2 * o.cfg.ValueCoef * vErr})
-			steps++
-		}
-	}
-	if steps == 0 {
+	c := &o.core
+	n := c.discount(fitness, o.cfg.Gamma)
+	if n == 0 {
 		return
 	}
-	o.core.policy.ScaleGrad(1 / steps)
-	o.core.critic.ScaleGrad(1 / steps)
-	o.core.policy.ClipGrad(o.cfg.GradClip)
-	o.core.critic.ClipGrad(o.cfg.GradClip)
-	o.popt.Step(o.core.policy)
-	o.vopt.Step(o.core.critic)
+	for r := 0; r < n; r++ {
+		ret := c.rets[r]
+		c.lossGrad(r, ret-c.value(r), o.cfg.EntropyBeta, ret, o.cfg.ValueCoef)
+	}
+	c.update(n, o.cfg.GradClip, o.popt, o.vopt)
 }
 
 var _ m3e.Optimizer = (*A2C)(nil)

@@ -55,11 +55,12 @@ func (c PPOConfig) withDefaults() PPOConfig {
 
 // PPO is the PPO2 mapper (clipped surrogate objective).
 type PPO struct {
-	cfg    PPOConfig
-	core   core
-	popt   *nn.Adam
-	vopt   *nn.Adam
-	traces [][]step
+	cfg     PPOConfig
+	core    core
+	popt    *nn.Adam
+	vopt    *nn.Adam
+	oldLogP []float64 // per step: log-probability of the action when sampled
+	adv     []float64 // per step: standardized advantage
 }
 
 // NewPPO builds a PPO2 optimizer.
@@ -70,108 +71,60 @@ func (o *PPO) Name() string { return "RL PPO2" }
 
 // Init implements m3e.Optimizer.
 func (o *PPO) Init(p *m3e.Problem, rng *rng.Stream) error {
-	if err := o.core.init(p, rng, o.cfg.Hidden); err != nil {
+	if err := o.core.init(p, rng, o.cfg.Hidden, o.cfg.EpisodesPer); err != nil {
 		return err
 	}
 	o.popt = nn.NewAdam(o.cfg.LR)
 	o.vopt = nn.NewAdam(o.cfg.LR)
+	rows := o.cfg.EpisodesPer * o.core.nJobs
+	o.oldLogP = make([]float64, rows)
+	o.adv = make([]float64, rows)
 	return nil
 }
 
 // Ask implements m3e.Optimizer.
-func (o *PPO) Ask() []encoding.Genome {
-	o.traces = o.traces[:0]
-	out := make([]encoding.Genome, o.cfg.EpisodesPer)
-	for i := range out {
-		g, trace := o.core.episode()
-		out[i] = g
-		o.traces = append(o.traces, trace)
-	}
-	return out
-}
+func (o *PPO) Ask() []encoding.Genome { return o.core.rollout() }
 
 // Tell implements m3e.Optimizer: several epochs of the clipped
 // surrogate update over the rollout buffer.
 func (o *PPO) Tell(_ []encoding.Genome, fitness []float64) {
-	type sample struct {
-		obs     []float64
-		action  int
-		oldLogP float64
-		ret     float64
-		adv     float64
-	}
-	var buf []sample
-	for ei := range fitness {
-		if ei >= len(o.traces) {
-			break
-		}
-		trace := o.traces[ei]
-		term := o.core.normalizeReward(fitness[ei])
-		rets := returns(len(trace), o.cfg.Gamma, term)
-		for t, s := range trace {
-			buf = append(buf, sample{
-				obs:     s.obs,
-				action:  s.action,
-				oldLogP: nn.LogProb(s.probs, s.action),
-				ret:     rets[t],
-				adv:     rets[t] - s.value,
-			})
-		}
-	}
-	if len(buf) == 0 {
+	c := &o.core
+	n := c.discount(fitness, o.cfg.Gamma)
+	if n == 0 {
 		return
 	}
-	// Advantage standardization (stable-baselines PPO2 behaviour).
-	advs := make([]float64, len(buf))
-	for i, s := range buf {
-		advs[i] = s.adv
+	for r := 0; r < n; r++ {
+		o.oldLogP[r] = nn.LogProb(c.probRow(r), c.actions[r])
+		o.adv[r] = c.rets[r] - c.value(r)
 	}
-	mean, std := meanStd(advs)
-	for i := range buf {
-		buf[i].adv = (buf[i].adv - mean) / (std + 1e-8)
+	// Advantage standardization (stable-baselines PPO2 behaviour).
+	adv := o.adv[:n]
+	mean, std := meanStd(adv)
+	for r := range adv {
+		adv[r] = (adv[r] - mean) / (std + 1e-8)
 	}
 
 	for ep := 0; ep < o.cfg.Epochs; ep++ {
-		o.core.policy.ZeroGrad()
-		o.core.critic.ZeroGrad()
-		for _, s := range buf {
-			pt, err := o.core.policy.Forward(s.obs)
-			if err != nil {
-				m3e.AbortRun(err)
-			}
-			probs := nn.Softmax(pt.Out)
-			logP := nn.LogProb(probs, s.action)
-			ratio := math.Exp(logP - s.oldLogP)
+		if ep > 0 {
+			// The last step moved the weights; epoch 0 reuses the
+			// rollout's own pass.
+			c.forward(n)
+		}
+		for r := 0; r < n; r++ {
+			logP := nn.LogProb(c.probRow(r), c.actions[r])
+			ratio := math.Exp(logP - o.oldLogP[r])
 			// Clipped surrogate loss L = -min(ratio·adv, clip(ratio)·adv).
 			// Gradient flows only through the unclipped branch; there,
 			// dL/dlogits = ratio·adv·(p - onehot), i.e. the same form as
 			// A2C's -adv·log p[a] gradient with coefficient ratio·adv.
 			var coef float64
 			clipped := clampRatio(ratio, 1-o.cfg.Clip, 1+o.cfg.Clip)
-			if ratio*s.adv <= clipped*s.adv {
-				coef = ratio * s.adv
+			if ratio*adv[r] <= clipped*adv[r] {
+				coef = ratio * adv[r]
 			}
-			dLogits := nn.SoftmaxBackward(probs, s.action, coef)
-			ent := nn.EntropyBackward(probs, o.cfg.EntropyBeta)
-			for i := range dLogits {
-				dLogits[i] += ent[i]
-			}
-			o.core.policy.Backward(pt, dLogits)
-
-			vt, err := o.core.critic.Forward(s.obs)
-			if err != nil {
-				m3e.AbortRun(err)
-			}
-			vErr := vt.Out[0] - s.ret
-			o.core.critic.Backward(vt, []float64{2 * o.cfg.ValueCoef * vErr})
+			c.lossGrad(r, coef, o.cfg.EntropyBeta, c.rets[r], o.cfg.ValueCoef)
 		}
-		n := float64(len(buf))
-		o.core.policy.ScaleGrad(1 / n)
-		o.core.critic.ScaleGrad(1 / n)
-		o.core.policy.ClipGrad(o.cfg.GradClip)
-		o.core.critic.ClipGrad(o.cfg.GradClip)
-		o.popt.Step(o.core.policy)
-		o.vopt.Step(o.core.critic)
+		c.update(n, o.cfg.GradClip, o.popt, o.vopt)
 	}
 }
 

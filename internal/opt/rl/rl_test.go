@@ -38,23 +38,30 @@ func TestDefaultsFollowTableIV(t *testing.T) {
 func TestEpisodeProducesValidGenome(t *testing.T) {
 	prob := opttest.Problem(t, models.Mix, 16, platform.S2())
 	var c core
-	if err := c.init(prob, rng.New(1), 8); err != nil {
+	if err := c.init(prob, rng.New(1), 8, 2); err != nil {
 		t.Fatal(err)
 	}
-	for trial := 0; trial < 10; trial++ {
-		g, trace := c.episode()
-		if err := g.Validate(16, 4); err != nil {
-			t.Fatalf("episode genome invalid: %v", err)
+	for trial := 0; trial < 5; trial++ {
+		gs := c.rollout()
+		if len(gs) != 2 || c.episodes != 2 {
+			t.Fatalf("rollout of %d episodes (%d recorded), want 2", len(gs), c.episodes)
 		}
-		if len(trace) != 16 {
-			t.Fatalf("trace length %d, want 16", len(trace))
-		}
-		for _, s := range trace {
-			if len(s.obs) != c.obsDim {
-				t.Fatalf("obs dim %d, want %d", len(s.obs), c.obsDim)
+		for e, g := range gs {
+			if err := g.Validate(16, 4); err != nil {
+				t.Fatalf("episode genome invalid: %v", err)
 			}
-			if s.action < 0 || s.action >= c.actDim {
-				t.Fatalf("action %d outside [0,%d)", s.action, c.actDim)
+			for j := 0; j < 16; j++ {
+				r := e*16 + j
+				if obs := c.ptape.In(r); len(obs) != c.obsDim {
+					t.Fatalf("obs dim %d, want %d", len(obs), c.obsDim)
+				}
+				a := c.actions[r]
+				if a < 0 || a >= c.actDim {
+					t.Fatalf("action %d outside [0,%d)", a, c.actDim)
+				}
+				if g.Accel[j] != a/PriorityBuckets {
+					t.Fatalf("episode %d job %d on core %d, recorded action %d", e, j, g.Accel[j], a)
+				}
 			}
 		}
 	}
@@ -63,12 +70,13 @@ func TestEpisodeProducesValidGenome(t *testing.T) {
 func TestObservationNormalized(t *testing.T) {
 	prob := opttest.Problem(t, models.Mix, 16, platform.S2())
 	var c core
-	if err := c.init(prob, rng.New(2), 8); err != nil {
+	if err := c.init(prob, rng.New(2), 8, 1); err != nil {
 		t.Fatal(err)
 	}
 	load := []float64{100, 0, 50, 25}
+	obs := make([]float64, c.obsDim)
 	for j := 0; j < 16; j++ {
-		obs := c.observe(j, load)
+		c.observe(obs, j, load)
 		for i, v := range obs {
 			if v < 0 || v > 1+1e-9 || math.IsNaN(v) {
 				t.Fatalf("job %d obs[%d] = %g outside [0,1]", j, i, v)
@@ -78,7 +86,8 @@ func TestObservationNormalized(t *testing.T) {
 }
 
 func TestReturnsDiscounting(t *testing.T) {
-	r := returns(3, 0.5, 8)
+	r := make([]float64, 3)
+	returns(r, 0.5, 8)
 	want := []float64{2, 4, 8}
 	for i := range want {
 		if math.Abs(r[i]-want[i]) > 1e-12 {
@@ -130,3 +139,54 @@ func TestPPOLearnsOnBiasedProblem(t *testing.T) {
 		t.Errorf("PPO best %g below random mean %g", res.BestFitness, randomMean)
 	}
 }
+
+// told asks one rollout of o and returns the fitness of its episodes.
+func told(tb testing.TB, o m3e.Optimizer, prob *m3e.Problem) []float64 {
+	gs := o.Ask()
+	fit := make([]float64, len(gs))
+	for i, g := range gs {
+		f, err := prob.Evaluate(g)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		fit[i] = f
+	}
+	return fit
+}
+
+func TestTellAllocationFree(t *testing.T) {
+	prob := opttest.Problem(t, models.Mix, 16, platform.S2())
+	for _, o := range []m3e.Optimizer{smallA2C(), smallPPO()} {
+		if err := o.Init(prob, rng.New(3)); err != nil {
+			t.Fatal(err)
+		}
+		// The first generation allocates the optimizers' state.
+		o.Tell(nil, told(t, o, prob))
+		fit := told(t, o, prob)
+		if allocs := testing.AllocsPerRun(3, func() { o.Tell(nil, fit) }); allocs != 0 {
+			t.Errorf("%s Tell allocates %g times per call", o.Name(), allocs)
+		}
+	}
+}
+
+// benchTell times Tell at the paper width on one 5-episode rollout at
+// group 100 (500 steps), the shape table4-sweep runs.
+func benchTell(b *testing.B, o m3e.Optimizer) {
+	prob := opttest.Problem(b, models.Mix, 100, platform.S2())
+	if err := o.Init(prob, rng.New(1)); err != nil {
+		b.Fatal(err)
+	}
+	o.Tell(nil, told(b, o, prob))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		fit := told(b, o, prob)
+		b.StartTimer()
+		o.Tell(nil, fit)
+	}
+}
+
+func BenchmarkA2CTell(b *testing.B) { benchTell(b, NewA2C(A2CConfig{})) }
+
+func BenchmarkPPOTell(b *testing.B) { benchTell(b, NewPPO(PPOConfig{})) }

@@ -14,28 +14,34 @@ import (
 // with the cyclic Jacobi method. It returns the eigenvalues and a matrix
 // whose COLUMNS are the corresponding orthonormal eigenvectors
 // (a[i][j] ≈ Σ_k vecs[i][k]·vals[k]·vecs[j][k]).
+//
+// The working matrix is one row-major slice and the eigenvectors are
+// accumulated transposed, one per row, so a rotation's eigenvector
+// update is two contiguous rows. Each element sees the classic cyclic
+// sweep's rotations in the classic order, with products rounded before
+// they are combined (no fused multiply-add), so the result is
+// bit-identical to the textbook [][]float64 formulation on every
+// platform.
 func SymEigen(a [][]float64) (vals []float64, vecs [][]float64, err error) {
 	n := len(a)
 	if n == 0 {
 		return nil, nil, fmt.Errorf("stats: empty matrix")
 	}
-	// Work on a copy; initialize vecs to identity.
-	m := make([][]float64, n)
-	vecs = make([][]float64, n)
-	for i := 0; i < n; i++ {
-		if len(a[i]) != n {
-			return nil, nil, fmt.Errorf("stats: row %d has %d columns, want %d", i, len(a[i]), n)
+	m := make([]float64, n*n) // working copy
+	v := make([]float64, n*n) // row k: eigenvector k
+	for i, row := range a {
+		if len(row) != n {
+			return nil, nil, fmt.Errorf("stats: row %d has %d columns, want %d", i, len(row), n)
 		}
-		m[i] = append([]float64(nil), a[i]...)
-		vecs[i] = make([]float64, n)
-		vecs[i][i] = 1
+		copy(m[i*n:], row)
+		v[i*n+i] = 1
 	}
 	const maxSweeps = 64
 	for sweep := 0; sweep < maxSweeps; sweep++ {
 		var off float64
 		for i := 0; i < n; i++ {
-			for j := i + 1; j < n; j++ {
-				off += m[i][j] * m[i][j]
+			for _, x := range m[i*n+i+1 : (i+1)*n] {
+				off += float64(x * x)
 			}
 		}
 		if off < 1e-20 {
@@ -43,36 +49,55 @@ func SymEigen(a [][]float64) (vals []float64, vecs [][]float64, err error) {
 		}
 		for p := 0; p < n-1; p++ {
 			for q := p + 1; q < n; q++ {
-				if math.Abs(m[p][q]) < 1e-300 {
+				mpq := m[p*n+q]
+				if math.Abs(mpq) < 1e-300 {
 					continue
 				}
-				theta := (m[q][q] - m[p][p]) / (2 * m[p][q])
-				t := math.Copysign(1, theta) / (math.Abs(theta) + math.Sqrt(theta*theta+1))
-				c := 1 / math.Sqrt(t*t+1)
+				theta := (m[q*n+q] - m[p*n+p]) / (2 * mpq)
+				t := math.Copysign(1, theta) / (math.Abs(theta) + math.Sqrt(float64(theta*theta)+1))
+				c := 1 / math.Sqrt(float64(t*t)+1)
 				s := t * c
-				for k := 0; k < n; k++ {
-					mkp, mkq := m[k][p], m[k][q]
-					m[k][p] = c*mkp - s*mkq
-					m[k][q] = s*mkp + c*mkq
+				// A ← Jᵀ·A·J rotates columns p and q, then rows p and q.
+				// The two passes share only the 2×2 block, which takes
+				// the column rotation first; every other element is
+				// rotated once, so one loop does both passes.
+				rp, rq := m[p*n:(p+1)*n], m[q*n:(q+1)*n]
+				rq = rq[:len(rp)]
+				app, apq := rot(c, s, rp[p], rp[q])
+				aqp, aqq := rot(c, s, rq[p], rq[q])
+				rp[p], rq[p] = rot(c, s, app, aqp)
+				rp[q], rq[q] = rot(c, s, apq, aqq)
+				for k := range rp {
+					if k == p || k == q {
+						continue
+					}
+					kp, kq := k*n+p, k*n+q
+					m[kp], m[kq] = rot(c, s, m[kp], m[kq])
+					rp[k], rq[k] = rot(c, s, rp[k], rq[k])
 				}
-				for k := 0; k < n; k++ {
-					mpk, mqk := m[p][k], m[q][k]
-					m[p][k] = c*mpk - s*mqk
-					m[q][k] = s*mpk + c*mqk
-				}
-				for k := 0; k < n; k++ {
-					vkp, vkq := vecs[k][p], vecs[k][q]
-					vecs[k][p] = c*vkp - s*vkq
-					vecs[k][q] = s*vkp + c*vkq
+				vp, vq := v[p*n:(p+1)*n], v[q*n:(q+1)*n]
+				vq = vq[:len(vp)]
+				for k := range vp {
+					vp[k], vq[k] = rot(c, s, vp[k], vq[k])
 				}
 			}
 		}
 	}
 	vals = make([]float64, n)
-	for i := 0; i < n; i++ {
-		vals[i] = m[i][i]
+	vecs = make([][]float64, n)
+	for i := range vecs {
+		vals[i] = m[i*n+i]
+		vecs[i] = make([]float64, n)
+		for k := range vecs[i] {
+			vecs[i][k] = v[k*n+i]
+		}
 	}
 	return vals, vecs, nil
+}
+
+// rot applies the plane rotation (c, s) to the pair (x, y).
+func rot(c, s, x, y float64) (float64, float64) {
+	return float64(c*x) - float64(s*y), float64(s*x) + float64(c*y)
 }
 
 // PCA2 projects a set of row vectors onto their first two principal
