@@ -62,6 +62,7 @@ import (
 	"time"
 
 	"magma"
+	"magma/internal/analyzer"
 	"magma/internal/encoding"
 	"magma/internal/fault"
 	"magma/internal/fleet"
@@ -135,24 +136,21 @@ type Report struct {
 	// Bound is the pruned-vs-unpruned comparison behind BoundPruneRate.
 	Bound BoundReport `json:"bound"`
 	// SimKernel compares the v2 event-driven simulator kernel against
-	// the kernel-v1 frame loop it replaced. The CI bench-smoke job gates
-	// SimKernel.SpeedupAtGroup100 at >= 1.2.
+	// the kernel-v1 frame loop it replaced (sim.ReferenceSimulator). The
+	// CI bench-smoke job gates SimKernel.SpeedupAtGroup100 at >= 1.2.
 	SimKernel SimKernelReport `json:"sim_kernel"`
 }
 
 // SimKernelReport is the evidence behind DESIGN.md's "Simulator kernel
 // v2" section. Rows are pure simulator runs (no decode, no cache) over
 // one fixed mapping per problem size across the Table III core-count
-// ladder; the share fields come from full cached MAGMA searches at
-// workers=1 on the standard problem, one per kernel, and locate the
-// simulate phase inside a generation — the share shrinks when the
-// kernel gets faster and nothing else moves.
+// ladder, v1 on sim.ReferenceSimulator and v2 on sim.Simulator; the
+// share fields come from a full cached MAGMA search at workers=1 on the
+// standard problem and locate the simulate phase inside a generation.
 type SimKernelReport struct {
 	Rows []SimKernelRow `json:"rows"`
 	// SpeedupAtGroup100 is V1NsPerRun / V2NsPerRun on the group-100 row.
 	SpeedupAtGroup100  float64 `json:"speedup_at_group_100"`
-	V1SimulateNsPerGen float64 `json:"v1_simulate_ns_per_gen"`
-	V1SimulateShare    float64 `json:"v1_simulate_share"`
 	V2SimulateNsPerGen float64 `json:"v2_simulate_ns_per_gen"`
 	V2SimulateShare    float64 `json:"v2_simulate_share"`
 }
@@ -447,7 +445,7 @@ func main() {
 	var serialTell, bestTell float64
 	for _, w := range phaseWorkers {
 		res, err := m3e.Run(prob, optmagma.New(optmagma.Config{}), m3e.Options{
-			Budget: m3e.DefaultBudget, Workers: w, Cache: true,
+			Budget: m3e.DefaultBudget, Workers: w, Cache: m3e.NewFitnessCache(prob, 0),
 		}, 6)
 		if err != nil {
 			log.Fatal(err)
@@ -497,7 +495,7 @@ func main() {
 		{"PSO", pso.New(pso.Config{})},
 		{"Random", random.New(0)},
 	} {
-		res, err := m3e.Run(prob, m.opt, m3e.Options{Budget: m3e.DefaultBudget, Cache: true}, 3)
+		res, err := m3e.Run(prob, m.opt, m3e.Options{Budget: m3e.DefaultBudget, Cache: m3e.NewFitnessCache(prob, 0)}, 3)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -521,11 +519,11 @@ func main() {
 		log.Fatal(err)
 	}
 	ebBudget := m3e.DefaultBudget
-	base, err := m3e.Run(ebProb, optmagma.New(optmagma.Config{}), m3e.Options{Budget: ebBudget, Cache: true}, 4)
+	base, err := m3e.Run(ebProb, optmagma.New(optmagma.Config{}), m3e.Options{Budget: ebBudget, Cache: m3e.NewFitnessCache(ebProb, 0)}, 4)
 	if err != nil {
 		log.Fatal(err)
 	}
-	eff, err := m3e.Run(ebProb, optmagma.New(optmagma.Config{}), m3e.Options{Budget: ebBudget, Cache: true, EffectiveBudget: true}, 4)
+	eff, err := m3e.Run(ebProb, optmagma.New(optmagma.Config{}), m3e.Options{Budget: ebBudget, Cache: m3e.NewFitnessCache(ebProb, 0), EffectiveBudget: true}, 4)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -554,13 +552,13 @@ func main() {
 		return float64(ph.AskNs+ph.FingerprintNs+ph.BoundNs+ph.SimulateNs+ph.TellNs) / float64(ph.Generations)
 	}
 	boundOff, err := m3e.Run(prob, optmagma.New(optmagma.Config{}), m3e.Options{
-		Budget: m3e.DefaultBudget, Cache: true,
+		Budget: m3e.DefaultBudget, Cache: m3e.NewFitnessCache(prob, 0),
 	}, 6)
 	if err != nil {
 		log.Fatal(err)
 	}
 	boundOn, err := m3e.Run(prob, optmagma.New(optmagma.Config{}), m3e.Options{
-		Budget: m3e.DefaultBudget, Cache: true, Bound: true,
+		Budget: m3e.DefaultBudget, Cache: m3e.NewFitnessCache(prob, 0), Bound: true,
 	}, 6)
 	if err != nil {
 		log.Fatal(err)
@@ -597,7 +595,7 @@ func main() {
 			log.Fatal(err)
 		}
 		res, err := m3e.Run(gsProb, optmagma.New(optmagma.Config{}), m3e.Options{
-			Budget: m3e.DefaultBudget, Cache: true, Bound: true,
+			Budget: m3e.DefaultBudget, Cache: m3e.NewFitnessCache(gsProb, 0), Bound: true,
 		}, 6)
 		if err != nil {
 			log.Fatal(err)
@@ -631,20 +629,19 @@ func main() {
 		encoding.DecodeInto(encoding.Random(sz.jobs, nAcc, newRand(6)), nAcc, &km)
 		row := SimKernelRow{Jobs: sz.jobs, Accels: nAcc, Platform: sz.pf.Setting}
 		for _, kc := range []struct {
-			label  string
-			kernel sim.Kernel
-			ns     *float64
+			label string
+			run   func(*analyzer.Table, sim.Mapping) (sim.Result, error)
+			ns    *float64
 		}{
-			{"v1", sim.KernelV1, &row.V1NsPerRun},
-			{"v2", sim.KernelV2, &row.V2NsPerRun},
+			{"v1", sim.NewReferenceSimulator(sim.Options{}).Run, &row.V1NsPerRun},
+			{"v2", sim.NewSimulator(sim.Options{}).Run, &row.V2NsPerRun},
 		} {
-			s := sim.NewSimulator(sim.Options{Kernel: kc.kernel})
-			if _, err := s.Run(kp.Table, km); err != nil {
+			if _, err := kc.run(kp.Table, km); err != nil {
 				log.Fatal(err)
 			}
 			m := measure(fmt.Sprintf("SimKernel/%s/%djx%da", kc.label, sz.jobs, nAcc), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					if _, err := s.Run(kp.Table, km); err != nil {
+					if _, err := kc.run(kp.Table, km); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -661,30 +658,20 @@ func main() {
 		}
 	}
 
-	// The evaluator pipeline's view of the same win: the simulate phase
-	// of a full cached MAGMA generation at workers=1 on the standard
-	// problem, under each kernel.
-	simShare := func(k sim.Kernel) (nsPerGen, shareOfGen float64) {
-		sp, err := m3e.NewProblem(w.Groups[0], platform.S2().WithBW(16), m3e.Throughput)
-		if err != nil {
-			log.Fatal(err)
-		}
-		sp.Kernel = k
-		res, err := m3e.Run(sp, optmagma.New(optmagma.Config{}), m3e.Options{
-			Budget: m3e.DefaultBudget, Workers: 1, Cache: true,
-		}, 6)
-		if err != nil {
-			log.Fatal(err)
-		}
-		ph := res.Phases
-		total := float64(ph.AskNs + ph.FingerprintNs + ph.SimulateNs + ph.TellNs)
-		if ph.Generations == 0 || total == 0 {
-			return 0, 0
-		}
-		return float64(ph.SimulateNs) / float64(ph.Generations), float64(ph.SimulateNs) / total
+	// The evaluator pipeline's view: the simulate phase of a full cached
+	// MAGMA generation at workers=1 on the standard problem.
+	simRes, err := m3e.Run(prob, optmagma.New(optmagma.Config{}), m3e.Options{
+		Budget: m3e.DefaultBudget, Workers: 1, Cache: m3e.NewFitnessCache(prob, 0),
+	}, 6)
+	if err != nil {
+		log.Fatal(err)
 	}
-	rep.SimKernel.V1SimulateNsPerGen, rep.SimKernel.V1SimulateShare = simShare(sim.KernelV1)
-	rep.SimKernel.V2SimulateNsPerGen, rep.SimKernel.V2SimulateShare = simShare(sim.KernelV2)
+	if ph := simRes.Phases; ph.Generations > 0 {
+		rep.SimKernel.V2SimulateNsPerGen = float64(ph.SimulateNs) / float64(ph.Generations)
+		if total := float64(ph.AskNs + ph.FingerprintNs + ph.SimulateNs + ph.TellNs); total > 0 {
+			rep.SimKernel.V2SimulateShare = float64(ph.SimulateNs) / total
+		}
+	}
 
 	f, err := os.Create(*out)
 	if err != nil {
@@ -728,8 +715,8 @@ func main() {
 			row.Jobs, row.Accels, row.Platform, row.V1NsPerRun, row.V2NsPerRun, row.Speedup)
 	}
 	sk := rep.SimKernel
-	fmt.Printf("sim kernel simulate phase (workers=1): v1 %.0f ns/gen (%.1f%% of gen) -> v2 %.0f ns/gen (%.1f%%)\n",
-		sk.V1SimulateNsPerGen, 100*sk.V1SimulateShare, sk.V2SimulateNsPerGen, 100*sk.V2SimulateShare)
+	fmt.Printf("sim kernel simulate phase (workers=1): %.0f ns/gen (%.1f%% of gen)\n",
+		sk.V2SimulateNsPerGen, 100*sk.V2SimulateShare)
 	fmt.Printf("wrote %s\n", *out)
 }
 

@@ -36,7 +36,6 @@ import (
 	"magma/internal/encoding"
 	"magma/internal/m3e"
 	"magma/internal/platform"
-	"magma/internal/sim"
 	"magma/internal/workload"
 )
 
@@ -142,7 +141,6 @@ type problemState struct {
 	mu     sync.Mutex
 	pools  map[int][]*m3e.Pool // worker count -> free pools
 	caches []*m3e.FitnessCache // free fitness-cache scratch (store-bound)
-	bounds *sim.Bounds         // analytical-bound constants, built on first Bound run
 }
 
 // Engine is the concurrency-safe, long-lived solver core. The zero
@@ -378,19 +376,6 @@ func (h *ProblemHandle) getCache() *m3e.FitnessCache {
 	return m3e.NewFitnessCacheWith(st.prob, st.store)
 }
 
-// getBounds returns the problem's analytical-bound constants, building
-// them once per problem entry and sharing them across runs — a Bounds
-// is immutable, so concurrent bound-pruned searches read one copy.
-func (h *ProblemHandle) getBounds() *sim.Bounds {
-	st := h.st
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if st.bounds == nil {
-		st.bounds = sim.NewBounds(st.prob.Table)
-	}
-	return st.bounds
-}
-
 // putCache returns cache scratch to the free-list (dropped past the cap).
 func (h *ProblemHandle) putCache(c *m3e.FitnessCache) {
 	st := h.st
@@ -402,34 +387,33 @@ func (h *ProblemHandle) putCache(c *m3e.FitnessCache) {
 }
 
 // Run executes one search over the cached problem, wiring in a pooled
-// evaluator set and — when o.Cache is set — the problem's shared
-// cross-run fitness store. Results are bit-identical to an uncached,
+// evaluator set and — when cached is set — a leased fitness cache over
+// the problem's shared cross-run store (o.Pool, o.Cache and o.Context
+// are the engine's to set). Results are bit-identical to an uncached,
 // un-pooled m3e.Run with the same options and seed: pools and stores
 // change wall-clock, never values. Safe for concurrent use; each call
-// leases its own pool, and the store is concurrency-safe.
-func (h *ProblemHandle) Run(opt m3e.Optimizer, o m3e.Options, seed int64) (m3e.Result, error) {
-	return h.RunCtx(context.Background(), opt, o, seed)
+// leases its own pool and cache, and the store is concurrency-safe.
+func (h *ProblemHandle) Run(opt m3e.Optimizer, o m3e.Options, cached bool, seed int64) (m3e.Result, error) {
+	return h.RunCtx(context.Background(), opt, o, cached, seed)
 }
 
 // RunCtx is Run under a context: a deadline or cancel aborts the search
 // at the next generation boundary and returns the best-so-far Result
 // with Aborted set (not an error). Aborted runs still count toward the
 // engine's Searches/Cache stats — their evaluations happened.
-func (h *ProblemHandle) RunCtx(ctx context.Context, opt m3e.Optimizer, o m3e.Options, seed int64) (m3e.Result, error) {
+func (h *ProblemHandle) RunCtx(ctx context.Context, opt m3e.Optimizer, o m3e.Options, cached bool, seed int64) (m3e.Result, error) {
 	pool := h.getPool(o.Workers)
 	defer h.putPool(pool)
 	o.Pool = pool
 	o.Context = ctx
-	if o.Cache {
+	o.Cache = nil
+	if cached {
 		// Lease rebindable cache scratch on top of the shared store: the
 		// run gets warm decoded-mapping and per-core-hash buffers, the
 		// store keeps flowing fitness entries across runs as before.
 		fc := h.getCache()
 		defer h.putCache(fc)
-		o.Scratch = fc
-	}
-	if o.Bound && o.Bounds == nil {
-		o.Bounds = h.getBounds()
+		o.Cache = fc
 	}
 	res, err := m3e.Run(h.st.prob, opt, o, seed)
 	h.eng.mu.Lock()

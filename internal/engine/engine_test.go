@@ -78,7 +78,7 @@ func TestEngineRunMatchesPlainRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	for rep := 0; rep < 2; rep++ {
-		res, err := h.Run(optmagma.New(optmagma.Config{}), m3e.Options{Budget: 200, Workers: 1, Cache: true}, 3)
+		res, err := h.Run(optmagma.New(optmagma.Config{}), m3e.Options{Budget: 200, Workers: 1}, true, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -215,7 +215,7 @@ func TestEngineConcurrentAcquire(t *testing.T) {
 				return
 			}
 			results[c], errs[c] = h.Run(optmagma.New(optmagma.Config{}),
-				m3e.Options{Budget: 120, Workers: 1, Cache: true}, 4)
+				m3e.Options{Budget: 120, Workers: 1}, true, 4)
 		}(c)
 	}
 	wg.Wait()
@@ -243,12 +243,12 @@ func TestEngineCacheScratchReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := m3e.Options{Budget: 150, Workers: 1, Cache: true}
-	first, err := h.Run(optmagma.New(optmagma.Config{}), opts, 9)
+	opts := m3e.Options{Budget: 150, Workers: 1}
+	first, err := h.Run(optmagma.New(optmagma.Config{}), opts, true, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := h.Run(optmagma.New(optmagma.Config{}), opts, 9)
+	second, err := h.Run(optmagma.New(optmagma.Config{}), opts, true, 9)
 	if err != nil {
 		t.Fatal(err)
 	}

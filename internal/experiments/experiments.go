@@ -41,32 +41,29 @@ type Config struct {
 	Context context.Context
 }
 
-// runOpts returns the m3e runner options for one search at the given
-// budget. Worker count and the fitness cache change wall-clock only,
-// never results, so the artifacts are reproducible at any parallelism
-// with caching on or off.
-func (c Config) runOpts(budget int) m3e.Options {
-	return m3e.Options{Budget: budget, Workers: c.Workers, Cache: c.Cache, Context: c.Context}
-}
-
-// runOptsShared is runOpts backed by a shared cross-run fitness store.
-// Experiments that search the *same problem* repeatedly — a mapper
+// runOpts returns the m3e runner options for one search of prob at the
+// given budget. Worker count and the fitness cache change wall-clock
+// only, never results, so the artifacts are reproducible at any
+// parallelism with caching on or off. With c.Cache the search gets a
+// fitness cache over store, or over a private one when store is nil:
+// experiments that search the *same problem* repeatedly — a mapper
 // comparison, an operator ablation, a repetition sweep — pass one store
 // per problem so later runs answer schedules earlier runs evaluated.
-// Results stay bit-identical (fitness is a pure function of the decoded
-// schedule); only simulator traffic drops. Store sharing respects
-// c.Cache so -cache=false still disables all caching.
-func (c Config) runOptsShared(budget int, store *m3e.CacheStore) m3e.Options {
-	o := c.runOpts(budget)
-	if o.Cache {
-		o.Store = store
+// -cache=false still disables all caching.
+func (c Config) runOpts(prob *m3e.Problem, budget int, store *m3e.CacheStore) m3e.Options {
+	o := m3e.Options{Budget: budget, Workers: c.Workers, Context: c.Context}
+	if c.Cache {
+		if store == nil {
+			store = newStore()
+		}
+		o.Cache = m3e.NewFitnessCacheWith(prob, store)
 	}
 	return o
 }
 
 // newStore builds a fitness store for one problem's searches. An unused
 // store is a few hundred bytes, so figure loops allocate one
-// unconditionally; runOptsShared wires it in only when c.Cache is set.
+// unconditionally; runOpts wires it in only when c.Cache is set.
 func newStore() *m3e.CacheStore { return m3e.NewCacheStore(0) }
 
 // runSearch is m3e.Run with the suite's cancellation contract: an

@@ -93,7 +93,10 @@ func Owner(shards []Shard, key encoding.TableKey) int {
 // Each element is either a bare URL ("http://host:port", the URL doubles
 // as the stable hash name) or "name=url" when the URL may change across
 // restarts but the shard's identity — and therefore its slice of the
-// key space and its snapshot — must not.
+// key space and its snapshot — must not. Trailing slashes are trimmed
+// from every URL (before a bare URL becomes the name): the router
+// appends "/optimize", and a doubled slash draws a redirect that Go's
+// client follows as a GET.
 func ParseShards(spec string) ([]Shard, error) {
 	var shards []Shard
 	seen := map[string]bool{}
@@ -102,9 +105,10 @@ func ParseShards(spec string) ([]Shard, error) {
 		if part == "" {
 			continue
 		}
-		sh := Shard{Name: part, URL: part}
+		bare := trimURL(part)
+		sh := Shard{Name: bare, URL: bare}
 		if name, url, ok := strings.Cut(part, "="); ok {
-			sh = Shard{Name: strings.TrimSpace(name), URL: strings.TrimSpace(url)}
+			sh = Shard{Name: strings.TrimSpace(name), URL: trimURL(strings.TrimSpace(url))}
 		}
 		if sh.Name == "" || sh.URL == "" {
 			return nil, fmt.Errorf("fleet: malformed shard %q (want url or name=url)", part)
@@ -123,3 +127,6 @@ func ParseShards(spec string) ([]Shard, error) {
 	}
 	return shards, nil
 }
+
+// trimURL drops a shard URL's trailing slashes.
+func trimURL(url string) string { return strings.TrimRight(url, "/") }

@@ -3,6 +3,7 @@ package fleet
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"magma/internal/encoding"
@@ -157,4 +158,30 @@ func TestParseShards(t *testing.T) {
 			t.Errorf("ParseShards(%q): expected error", bad)
 		}
 	}
+}
+
+// FuzzParseShards: whatever the -shards flag holds, ParseShards never
+// panics; it fails exactly when it returns no shards; and every shard
+// it returns has an http(s) URL without a trailing slash (the router
+// appends "/optimize") and a name no other shard has.
+func FuzzParseShards(f *testing.F) {
+	f.Fuzz(func(t *testing.T, spec string) {
+		shards, err := ParseShards(spec)
+		if (err != nil) != (len(shards) == 0) {
+			t.Fatalf("ParseShards(%q) = %d shards, err %v", spec, len(shards), err)
+		}
+		names := map[string]bool{}
+		for _, sh := range shards {
+			if !strings.HasPrefix(sh.URL, "http://") && !strings.HasPrefix(sh.URL, "https://") {
+				t.Errorf("ParseShards(%q): URL %q is not http(s)", spec, sh.URL)
+			}
+			if strings.HasSuffix(sh.URL, "/") {
+				t.Errorf("ParseShards(%q): URL %q ends in a slash", spec, sh.URL)
+			}
+			if names[sh.Name] {
+				t.Errorf("ParseShards(%q): duplicate name %q", spec, sh.Name)
+			}
+			names[sh.Name] = true
+		}
+	})
 }

@@ -78,13 +78,17 @@ type Router struct {
 	shardErrors atomic.Uint64
 }
 
-// NewRouter builds a router over the shard set.
+// NewRouter builds a router over the shard set, trimming trailing
+// slashes from the URLs as ParseShards does.
 func NewRouter(shards []Shard, cfg Config) (*Router, error) {
 	if len(shards) == 0 {
 		return nil, fmt.Errorf("fleet: no shards")
 	}
+	shards = append([]Shard(nil), shards...)
 	seen := map[string]bool{}
-	for _, sh := range shards {
+	for i := range shards {
+		shards[i].URL = trimURL(shards[i].URL)
+		sh := shards[i]
 		if sh.Name == "" || sh.URL == "" {
 			return nil, fmt.Errorf("fleet: shard with empty name or URL")
 		}
@@ -114,7 +118,7 @@ func NewRouter(shards []Shard, cfg Config) (*Router, error) {
 		transport = t
 	}
 	return &Router{
-		shards: append([]Shard(nil), shards...),
+		shards: shards,
 		cfg:    cfg,
 		client: &http.Client{Transport: transport},
 	}, nil
@@ -344,22 +348,19 @@ func (rt *Router) handleOptimize(w http.ResponseWriter, r *http.Request) {
 	}
 	rt.fanOuts.Add(1)
 
-	// Per-group fan-out. Each sub-request re-derives exactly what the
-	// shard's own stream loop would have used for that group: the seed
-	// advances by group index and an unset budget resolves against the
-	// *original* group count — so the merged result is bit-identical to
-	// the same request answered by one shard.
-	budget := req.Options.BudgetPerGroup
-	if budget <= 0 {
-		budget = m3e.DefaultBudget / len(wl.Groups)
-	}
+	// Per-group fan-out. Each sub-request carries the seed and budget
+	// the shard's own stream loop would have used for that group — the
+	// same StreamOptions.GroupPlan, resolved against the *original*
+	// group count — so the merged result is bit-identical to the same
+	// request answered by one shard (which re-applies the plan's budget
+	// floor to an already-floored budget, a no-op).
+	plan := magma.StreamOptions{Seed: req.Options.Seed, BudgetPerGroup: req.Options.BudgetPerGroup}
 	results := make([]forwardResult, len(wl.Groups))
 	var wg sync.WaitGroup
 	for gi, g := range wl.Groups {
 		sub := req
 		sub.Generate = nil
-		sub.Options.Seed = req.Options.Seed + int64(gi)
-		sub.Options.BudgetPerGroup = budget
+		sub.Options.Seed, sub.Options.BudgetPerGroup = plan.GroupPlan(wl, gi)
 		var buf bytes.Buffer
 		gw := magma.Workload{Name: wl.Name, Task: wl.Task, Groups: []magma.Group{{Index: 0, Jobs: g.Jobs}}}
 		if err := gw.WriteJSON(&buf); err != nil {

@@ -74,15 +74,31 @@ func ownersOf(t *testing.T, shards []Shard, body string) []int {
 // shards must merge to exactly the answer one shard gives for the whole
 // request — same schedules, same ordering, same totals. This is the
 // routing invariant: the fan-out rewrites seeds and budgets to what the
-// single-node stream loop would have derived per group.
+// single-node stream loop would have derived per group
+// (magma.StreamOptions.GroupPlan), on every branch of that plan: an
+// explicit budget, an unset one (split of the default over the original
+// group count) and one below the 20-generation floor (20×16 = 320).
 func TestRouterFanOutBitIdentical(t *testing.T) {
+	for _, tc := range []struct{ name, budget string }{
+		{"explicit", `"budget_per_group":350,`},
+		{"unset", ``},
+		{"below-floor", `"budget_per_group":100,`},
+	} {
+		t.Run(tc.name, func(t *testing.T) { checkFanOutBitIdentical(t, tc.budget) })
+	}
+}
+
+// checkFanOutBitIdentical runs one fan-out case; budget is the
+// request's budget_per_group JSON member (with its trailing comma) or
+// empty for an unset budget.
+func checkFanOutBitIdentical(t *testing.T, budget string) {
 	shards, rt, rts := newFleet(t, 3, Config{})
 
 	// Find a generated workload whose groups span at least two shards
 	// (ownership is content-hash determined, so probe a few seeds).
 	var body string
 	for seed := int64(1); seed <= 32; seed++ {
-		cand := fmt.Sprintf(`{"generate":{"task":"Mix","num_jobs":48,"group_size":16,"seed":%d},"platform":"S2","options":{"budget_per_group":350,"seed":5}}`, seed)
+		cand := fmt.Sprintf(`{"generate":{"task":"Mix","num_jobs":48,"group_size":16,"seed":%d},"platform":"S2","options":{%s"seed":5}}`, seed, budget)
 		owners := ownersOf(t, shards, cand)
 		if len(owners) >= 2 {
 			for _, o := range owners[1:] {
@@ -137,6 +153,42 @@ func TestRouterFanOutBitIdentical(t *testing.T) {
 	}
 	if one.Workload != fleet.Workload || one.Platform != fleet.Platform {
 		t.Errorf("metadata diverged: %q/%q vs %q/%q", one.Workload, one.Platform, fleet.Workload, fleet.Platform)
+	}
+}
+
+// TestRouterTrailingSlashShard: a shard URL written with a trailing
+// slash, through ParseShards or as a programmatic Shard, still forwards
+// to <url>/optimize. Untrimmed, the doubled slash draws the shard mux's
+// 301, which Go's client re-sends as a GET, so every /optimize would
+// answer 405 while /healthz stays 200.
+func TestRouterTrailingSlashShard(t *testing.T) {
+	ts := httptest.NewServer(serve.New(magma.NewSolver(magma.SolverOptions{})).Handler())
+	t.Cleanup(ts.Close)
+	parsed, err := ParseShards(ts.URL + "/")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if parsed[0].Name != ts.URL || parsed[0].URL != ts.URL {
+		t.Fatalf("ParseShards(%q) = %+v, want name and URL %q", ts.URL+"/", parsed[0], ts.URL)
+	}
+	body := `{"generate":{"task":"Mix","num_jobs":16,"group_size":16,"seed":3},"platform":"S2","options":{"budget_per_group":320,"seed":1}}`
+	for _, tc := range []struct {
+		name   string
+		shards []Shard
+	}{
+		{"parsed", parsed},
+		{"programmatic", []Shard{{Name: "s", URL: ts.URL + "//"}}},
+	} {
+		rt, err := NewRouter(tc.shards, Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rts := httptest.NewServer(rt.Handler())
+		resp, b := postOptimize(t, rts.URL, body)
+		rts.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Errorf("%s: status %d: %s", tc.name, resp.StatusCode, b)
+		}
 	}
 }
 

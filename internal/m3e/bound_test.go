@@ -43,7 +43,7 @@ func TestRunBoundDeterminism(t *testing.T) {
 			for _, bound := range []bool{false, true} {
 				for _, workers := range []int{1, 2, 8} {
 					got, err := m3e.Run(prob, m.mk(),
-						m3e.Options{Budget: budget, Workers: workers, Cache: true, Bound: bound}, 5)
+						m3e.Options{Budget: budget, Workers: workers, Cache: m3e.NewFitnessCache(prob, 0), Bound: bound}, 5)
 					if err != nil {
 						t.Fatalf("workers=%d bound=%v: %v", workers, bound, err)
 					}

@@ -9,8 +9,8 @@ import (
 	"magma/internal/sim"
 )
 
-// DefaultCacheSize bounds the fitness cache when Options.CacheSize is
-// zero. At the paper's 10K-sample budget the cache never evicts; the
+// DefaultCacheSize bounds a fitness store built with a non-positive
+// capacity. At the paper's 10K-sample budget the cache never evicts; the
 // bound exists so long-lived streams (OptimizeStream, servers reusing a
 // problem) stay at a few MB instead of growing without limit.
 const DefaultCacheSize = 1 << 16

@@ -37,7 +37,7 @@ func TestRunCacheDeterminism(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, workers := range []int{1, 2, 8} {
-				got, err := m3e.Run(prob, m.mk(), m3e.Options{Budget: budget, Workers: workers, Cache: true}, 5)
+				got, err := m3e.Run(prob, m.mk(), m3e.Options{Budget: budget, Workers: workers, Cache: m3e.NewFitnessCache(prob, 0)}, 5)
 				if err != nil {
 					t.Fatalf("workers=%d cache=on: %v", workers, err)
 				}
@@ -193,7 +193,7 @@ func TestFitnessCacheEviction(t *testing.T) {
 func TestRunCachedBatchBufferReuse(t *testing.T) {
 	prob := parallelProblem(t)
 	res, err := m3e.Run(prob, optmagma.New(optmagma.Config{}),
-		m3e.Options{Budget: 400, Workers: 1, Cache: true}, 11)
+		m3e.Options{Budget: 400, Workers: 1, Cache: m3e.NewFitnessCache(prob, 0)}, 11)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -67,14 +67,6 @@ type Problem struct {
 	Group     workload.Group
 	Platform  platform.Platform
 	Task      fmt.Stringer // informative; used by the warm-start engine
-
-	// Kernel selects the simulator implementation every evaluator built
-	// for this problem uses. The zero value is the default (v2) kernel;
-	// KernelV1 pins the reference frame loop — the ablation/benchmark
-	// baseline. The two kernels agree only within the simulator's
-	// retirement tolerances, so cached fitness must never be shared
-	// across kernels (the persist layer versions snapshots by kernel).
-	Kernel sim.Kernel
 }
 
 // NewProblem builds the analysis table and wraps it as a Problem.
@@ -127,8 +119,7 @@ func (p *Problem) Fitness(res sim.Result) float64 {
 // Evaluate decodes and simulates one individual, returning its fitness.
 // It allocates fresh scratch per call; hot loops use an Evaluator.
 func (p *Problem) Evaluate(g encoding.Genome) (float64, error) {
-	ev := Evaluator{p: p, sim: sim.NewSimulator(sim.Options{Kernel: p.Kernel})}
-	return ev.Evaluate(g)
+	return p.NewEvaluator().Evaluate(g)
 }
 
 // Evaluator is the reusable genome→fitness pipeline: it owns a decode
@@ -144,7 +135,7 @@ type Evaluator struct {
 
 // NewEvaluator builds an evaluator bound to the problem.
 func (p *Problem) NewEvaluator() *Evaluator {
-	return &Evaluator{p: p, sim: sim.NewSimulator(sim.Options{Kernel: p.Kernel})}
+	return &Evaluator{p: p, sim: sim.NewSimulator(sim.Options{})}
 }
 
 // Evaluate decodes and simulates one individual, returning its fitness.
@@ -183,7 +174,7 @@ func (e *Evaluator) EvaluateMapping(m *sim.Mapping) (float64, error) {
 // EvaluateMapping scores an already-decoded mapping (used for the
 // manual-heuristic baselines, which bypass the encoding).
 func (p *Problem) EvaluateMapping(m sim.Mapping) (float64, sim.Result, error) {
-	res, err := sim.Run(p.Table, m, sim.Options{Kernel: p.Kernel})
+	res, err := sim.Run(p.Table, m, sim.Options{})
 	if err != nil {
 		return 0, sim.Result{}, err
 	}
@@ -288,7 +279,7 @@ type Result struct {
 	Asked       int         // genomes processed (== Samples unless EffectiveBudget)
 	Curve       []float64   // best-so-far fitness after each consumed sample
 	Explored    [][]float64 // sampled vectors (only when RecordSamples)
-	Cache       CacheStats  // hit/miss counters (zero unless Options.Cache)
+	Cache       CacheStats  // hit/miss counters (zero without Options.Cache)
 	// Phases breaks the run's wall-clock down per generation phase
 	// (ask / fingerprint / simulate / tell), so callers can see where a
 	// generation's time goes — e.g. whether parallel breeding actually
@@ -357,37 +348,30 @@ type Options struct {
 	// 0 means GOMAXPROCS; 1 runs strictly serial. Results are
 	// bit-identical for every worker count (see Run).
 	Workers int
-	// Cache enables the schedule-fingerprint fitness cache: each Ask
-	// batch is deduplicated by decoded-schedule fingerprint and genomes
-	// whose schedule was already evaluated this run are answered from
-	// the cache. Results stay bit-identical to the uncached path —
-	// evaluation is pure, so a cached fitness equals a recomputed one —
-	// while redundant samples (re-Asked elites, equivalent offspring)
-	// skip the simulator. Result.Cache reports the hit/miss counters.
-	Cache bool
-	// CacheSize bounds the cache (entries). 0 means DefaultCacheSize.
-	CacheSize int
-	// Store optionally supplies a shared cross-run fingerprint→fitness
-	// store (implies Cache; CacheSize is then the store's concern, not
-	// the run's). The store must be dedicated to this problem's identity
-	// — same group content, platform and objective — and may be shared
-	// across sequential or concurrent runs: entries inserted by one run
-	// answer lookups of another (Result.Cache.CrossHits counts these),
-	// with results still bit-identical to a cold run.
-	Store *CacheStore
+	// Cache, when non-nil, routes every Ask batch through this
+	// schedule-fingerprint fitness cache: the batch is deduplicated by
+	// decoded-schedule fingerprint and genomes whose schedule is already
+	// in the cache's store are answered from it. Results stay
+	// bit-identical to the uncached path (nil) — evaluation is pure, so
+	// a cached fitness equals a recomputed one — while redundant samples
+	// (re-Asked elites, equivalent offspring) skip the simulator.
+	// Result.Cache reports the hit/miss counters.
+	//
+	// The cache must be built for this Problem: NewFitnessCache for a
+	// private store, NewFitnessCacheWith for a store shared across runs
+	// of the same problem identity, where entries inserted by one run
+	// answer lookups of another (Result.Cache.CrossHits counts these).
+	// Run rebinds it first (fresh run id, cleared counters and
+	// provenance) and keeps its grown batch scratch, so one cache may
+	// serve any number of sequential runs — the engine free-lists them
+	// like pools — but only one run at a time.
+	Cache *FitnessCache
 	// Pool optionally supplies a prebuilt evaluation pool bound to this
 	// problem (Workers is then ignored). A pool's evaluators keep their
 	// grown scratch across runs, so a long-lived engine reuses pools
 	// instead of re-growing simulator buffers per request. A Pool serves
 	// one run at a time.
 	Pool *Pool
-	// Scratch optionally supplies a leased FitnessCache whose grown
-	// batch scratch — decoded mappings, per-core lane hashes — is reused
-	// across runs (the engine free-lists them like pools). The cache
-	// must be bound to this problem and its shared store; Run rebinds it
-	// (fresh run id, cleared counters and provenance) before use.
-	// Implies the cache path; takes precedence over Store/Cache.
-	Scratch *FitnessCache
 	// Context, when non-nil, makes the run cancellable: the loop checks
 	// it once per generation (between Tell and the next Ask), so a
 	// deadline or cancel aborts within one generation's evaluation cost
@@ -411,21 +395,17 @@ type Options struct {
 	// count: a pruned candidate can never rank above the elite floor,
 	// never beats the run's best-so-far, and its (non-exact) fitness is
 	// never inserted into the cache store. Optimizers that do not
-	// implement EliteSelector run with pruning inert. An error without
-	// Cache/Store, like EffectiveBudget.
+	// implement EliteSelector run with pruning inert. The roofline
+	// constants come from the pool's memoized per-table Bounds. An error
+	// without Cache, like EffectiveBudget.
 	Bound bool
-	// Bounds optionally supplies prebuilt analytical-bound constants for
-	// this problem's table (a long-lived engine leases them per problem).
-	// Nil with Bound set means they are taken from the pool's memoized
-	// per-table constants.
-	Bounds *sim.Bounds
 	// EffectiveBudget, with the cache on, charges the sampling budget
 	// only for genomes that actually reach the simulator (cache misses)
 	// or fail validation; cache hits and in-batch duplicates are free.
 	// Highly redundant optimizers (CMA-ES re-asks up to 80% duplicate
 	// schedules at small groups) then explore several times more of the
 	// space for the same budget. Off by default — the paper charges every
-	// sample — and an error without Cache/Store, since without a cache
+	// sample — and an error without Cache, since without a cache
 	// there is nothing to distinguish distinct schedules by. Asked vs
 	// Samples in the Result reports the stretch. To bound runs whose
 	// optimizer collapses onto all-cached batches, a run stops once Asked
@@ -606,21 +586,18 @@ func Run(p *Problem, opt Optimizer, o Options, seed int64) (Result, error) {
 	if pb, ok := opt.(PoolBreeder); ok {
 		pb.SetBreeder(pool)
 	}
-	var cache *FitnessCache
-	switch {
-	case o.Scratch != nil:
-		cache = o.Scratch
+	cache := o.Cache
+	if cache != nil {
+		if cache.p != p {
+			return Result{}, fmt.Errorf("m3e: Cache was built for a different Problem")
+		}
 		cache.Rebind()
-	case o.Store != nil:
-		cache = NewFitnessCacheWith(p, o.Store)
-	case o.Cache:
-		cache = NewFitnessCache(p, o.CacheSize)
 	}
 	if o.EffectiveBudget && cache == nil {
-		return Result{}, fmt.Errorf("m3e: EffectiveBudget requires the fitness cache (set Cache or Store)")
+		return Result{}, fmt.Errorf("m3e: EffectiveBudget requires the fitness cache (set Cache)")
 	}
 	if o.Bound && cache == nil {
-		return Result{}, fmt.Errorf("m3e: Bound requires the fitness cache (set Cache or Store)")
+		return Result{}, fmt.Errorf("m3e: Bound requires the fitness cache (set Cache)")
 	}
 	res := Result{Method: opt.Name(), BestFitness: math.Inf(-1)}
 	res.Curve = make([]float64, 0, o.Budget)
@@ -633,11 +610,7 @@ func Run(p *Problem, opt Optimizer, o Options, seed int64) (Result, error) {
 			// EliteSelector) that sub-floor fitness values cannot perturb
 			// selection; anyone else runs with the bound path inert.
 			if es, ok := opt.(EliteSelector); ok {
-				b := o.Bounds
-				if b == nil {
-					b = pool.Bounds()
-				}
-				cache.SetBound(b, &res.BestFitness, es.EliteCount)
+				cache.SetBound(pool.Bounds(), &res.BestFitness, es.EliteCount)
 			}
 		}
 		cache.phases = &res.Phases

@@ -35,7 +35,7 @@ func (r *repeatOpt) Tell([]encoding.Genome, []float64) {}
 func TestRunEffectiveBudgetStretchCap(t *testing.T) {
 	prob := testProblem(t, models.Mix, 16, platform.S2(), Throughput)
 	budget := 3
-	res, err := Run(prob, &repeatOpt{}, Options{Budget: budget, Cache: true, EffectiveBudget: true}, 1)
+	res, err := Run(prob, &repeatOpt{}, Options{Budget: budget, Cache: NewFitnessCache(prob, 0), EffectiveBudget: true}, 1)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}

@@ -10,7 +10,7 @@ import (
 )
 
 // TestCacheStoreCrossRun pins the cross-run contract: a second run
-// bound to the same store via Options.Store returns results
+// whose Options.Cache shares the first run's store returns results
 // bit-identical to a cold run while answering most of its evaluations
 // from the first run's entries — counted in CrossHits.
 func TestCacheStoreCrossRun(t *testing.T) {
@@ -23,7 +23,7 @@ func TestCacheStoreCrossRun(t *testing.T) {
 
 	store := m3e.NewCacheStore(0)
 	first, err := m3e.Run(prob, optmagma.New(optmagma.Config{}),
-		m3e.Options{Budget: budget, Workers: 1, Store: store}, 5)
+		m3e.Options{Budget: budget, Workers: 1, Cache: m3e.NewFitnessCacheWith(prob, store)}, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +33,7 @@ func TestCacheStoreCrossRun(t *testing.T) {
 	// Identical seed → identical Ask stream → every decodable sample of
 	// the repeat is already stored.
 	second, err := m3e.Run(prob, optmagma.New(optmagma.Config{}),
-		m3e.Options{Budget: budget, Workers: 1, Store: store}, 5)
+		m3e.Options{Budget: budget, Workers: 1, Cache: m3e.NewFitnessCacheWith(prob, store)}, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestCacheStoreConcurrentRuns(t *testing.T) {
 		go func(i int, seed int64) {
 			defer wg.Done()
 			got[i], errs[i] = m3e.Run(prob, optmagma.New(optmagma.Config{}),
-				m3e.Options{Budget: budget, Workers: 2, Store: store}, seed)
+				m3e.Options{Budget: budget, Workers: 2, Cache: m3e.NewFitnessCacheWith(prob, store)}, seed)
 		}(i, seed)
 	}
 	wg.Wait()
@@ -107,7 +107,7 @@ func TestCacheStoreBounded(t *testing.T) {
 	store := m3e.NewCacheStore(8)
 	for seed := int64(1); seed <= 3; seed++ {
 		if _, err := m3e.Run(prob, optmagma.New(optmagma.Config{}),
-			m3e.Options{Budget: 120, Workers: 1, Store: store}, seed); err != nil {
+			m3e.Options{Budget: 120, Workers: 1, Cache: m3e.NewFitnessCacheWith(prob, store)}, seed); err != nil {
 			t.Fatal(err)
 		}
 		if store.Len() > 8 {
@@ -125,5 +125,42 @@ func TestCacheStatsAddIncludesCrossHits(t *testing.T) {
 	want := m3e.CacheStats{Hits: 12, CrossHits: 11, Deduped: 13, Misses: 14, Invalid: 15}
 	if b != want {
 		t.Errorf("Add = %+v, want %+v", b, want)
+	}
+}
+
+// TestRunCacheRebind pins the single cache input of m3e.Run: one
+// FitnessCache handed to sequential runs is rebound before each (fresh
+// run id and counters, warm scratch), results stay bit-identical to a
+// cold run, the repeat is answered from the first run's entries as
+// cross-run hits, and a cache built for another Problem is rejected.
+func TestRunCacheRebind(t *testing.T) {
+	prob := parallelProblem(t)
+	const budget = 200
+	cold, err := m3e.Run(prob, optmagma.New(optmagma.Config{}), m3e.Options{Budget: budget, Workers: 1}, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cache := m3e.NewFitnessCache(prob, 0)
+	var runs []m3e.Result
+	for rep := 0; rep < 2; rep++ {
+		res, err := m3e.Run(prob, optmagma.New(optmagma.Config{}),
+			m3e.Options{Budget: budget, Workers: 1, Cache: cache}, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.BestFitness != cold.BestFitness || !reflect.DeepEqual(res.Curve, cold.Curve) {
+			t.Fatalf("run %d on a reused cache diverged from the cold run", rep)
+		}
+		runs = append(runs, res)
+	}
+	if runs[0].Cache.CrossHits != 0 || runs[0].Cache.Misses == 0 {
+		t.Errorf("first run: %+v (want misses, no cross hits)", runs[0].Cache)
+	}
+	if runs[1].Cache.Misses != 0 || runs[1].Cache.CrossHits == 0 {
+		t.Errorf("repeat run: %+v (want no misses, only cross hits)", runs[1].Cache)
+	}
+	other := m3e.ProblemFromTable(prob.Table, prob.Objective)
+	if _, err := m3e.Run(other, optmagma.New(optmagma.Config{}), m3e.Options{Budget: 50, Cache: cache}, 5); err == nil {
+		t.Error("a cache built for another Problem was accepted")
 	}
 }

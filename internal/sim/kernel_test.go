@@ -57,18 +57,18 @@ func randomTable(r *rand.Rand, nJobs, nAccels int) *analyzer.Table {
 	return t
 }
 
-// checkKernelsAgree runs one mapping under both kernels and asserts the
-// v2 result matches v1 within the retirement tolerance: identical
+// checkKernelsAgree runs one mapping through Simulator (v2) and the
+// ReferenceSimulator (v1) and asserts the v2 result matches v1 within the retirement tolerance: identical
 // JobRuns completion order and retirement set (same JobID/AccelID
 // sequence), per-run Start/End and makespan within kernelTol, and the
 // derived metrics consistent.
 func checkKernelsAgree(t *testing.T, tab *analyzer.Table, m Mapping, policy Policy) {
 	t.Helper()
-	v1, err := Run(tab, m, Options{Policy: policy, Kernel: KernelV1})
+	v1, err := NewReferenceSimulator(Options{Policy: policy}).Run(tab, m)
 	if err != nil {
 		t.Fatalf("kernel v1: %v", err)
 	}
-	v2, err := Run(tab, m, Options{Policy: policy, Kernel: KernelV2})
+	v2, err := Run(tab, m, Options{Policy: policy})
 	if err != nil {
 		t.Fatalf("kernel v2: %v", err)
 	}
@@ -185,8 +185,8 @@ func TestKernelV2ZeroAlloc(t *testing.T) {
 }
 
 // TestKernelV2BoundsSound re-verifies the analytical lower bound
-// against the v2 kernel (and v1, while we are at it): for random
-// mappings over random tables, bound ≤ simulated makespan and the
+// against the v2 kernel (and the v1 reference, while we are at it): for
+// random mappings over random tables, bound ≤ simulated makespan and the
 // bound Result's fitness upper-bounds the simulated fitness.
 func TestKernelV2BoundsSound(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
@@ -199,17 +199,20 @@ func TestKernelV2BoundsSound(t *testing.T) {
 		cb := make(CoreBounds, nAccels)
 		b.CoresInto(cb, &m)
 		lb := b.LowerBound(cb)
-		for _, k := range []Kernel{KernelV2, KernelV1} {
-			res, err := Run(tab, m, Options{Kernel: k})
+		for _, k := range []struct {
+			name string
+			run  func(*analyzer.Table, Mapping) (Result, error)
+		}{{"v2", NewSimulator(Options{}).Run}, {"v1", NewReferenceSimulator(Options{}).Run}} {
+			res, err := k.run(tab, m)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if res.TotalCycles < lb {
-				t.Fatalf("trial %d kernel %d: bound %g beats simulated makespan %g", trial, k, lb, res.TotalCycles)
+				t.Fatalf("trial %d kernel %s: bound %g beats simulated makespan %g", trial, k.name, lb, res.TotalCycles)
 			}
 			opt := b.Result(cb)
 			if opt.Energy > res.Energy {
-				t.Fatalf("trial %d kernel %d: bound energy %g exceeds simulated %g", trial, k, opt.Energy, res.Energy)
+				t.Fatalf("trial %d kernel %s: bound energy %g exceeds simulated %g", trial, k.name, opt.Energy, res.Energy)
 			}
 		}
 	}
@@ -217,7 +220,7 @@ func TestKernelV2BoundsSound(t *testing.T) {
 
 // TestKernelFaultPoint pins the sim.kernel chaos point: an armed error
 // hook fails v2 runs (the injected error surfaces from Run) while the
-// v1 reference path never passes through it.
+// ReferenceSimulator never passes through it.
 func TestKernelFaultPoint(t *testing.T) {
 	defer fault.Reset()
 	tab := buildTable(t, models.Vision, 12, platform.S1())
@@ -230,7 +233,7 @@ func TestKernelFaultPoint(t *testing.T) {
 	if _, err := Run(tab, m, Options{Policy: WaterFill}); !errors.Is(err, boom) {
 		t.Fatalf("v2 WaterFill Run with armed point: err = %v, want %v", err, boom)
 	}
-	if _, err := Run(tab, m, Options{Kernel: KernelV1}); err != nil {
+	if _, err := NewReferenceSimulator(Options{}).Run(tab, m); err != nil {
 		t.Fatalf("v1 Run must not pass the sim.kernel point: %v", err)
 	}
 	if got := fault.Hits(fault.SimKernel); got != 2 {
@@ -284,7 +287,8 @@ func TestValidatorMatchesValidate(t *testing.T) {
 	}
 }
 
-// BenchmarkKernel compares v1 and v2 ns/run across problem sizes — the
+// BenchmarkKernel compares the v1 ReferenceSimulator and the v2
+// Simulator ns/run across problem sizes — the
 // complexity claim (O(J·A) → O(J·log A)) should show as a widening gap
 // with the core count.
 func BenchmarkKernel(b *testing.B) {
@@ -295,14 +299,13 @@ func BenchmarkKernel(b *testing.B) {
 		tab := randomTable(r, size.jobs, size.accels)
 		m := randomMapping(size.jobs, size.accels, r)
 		for _, k := range []struct {
-			name   string
-			kernel Kernel
-		}{{"v1", KernelV1}, {"v2", KernelV2}} {
+			name string
+			run  func(*analyzer.Table, Mapping) (Result, error)
+		}{{"v1", NewReferenceSimulator(Options{}).Run}, {"v2", NewSimulator(Options{}).Run}} {
 			b.Run(fmt.Sprintf("jobs=%d/accels=%d/%s", size.jobs, size.accels, k.name), func(b *testing.B) {
-				s := NewSimulator(Options{Kernel: k.kernel})
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					if _, err := s.Run(tab, m); err != nil {
+					if _, err := k.run(tab, m); err != nil {
 						b.Fatal(err)
 					}
 				}

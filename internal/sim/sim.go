@@ -279,25 +279,6 @@ const (
 	WaterFill
 )
 
-// Kernel selects the Run implementation. Both kernels execute the same
-// Algorithm 1 semantics; they differ in arithmetic order, so results
-// agree only within the retirement tolerances (see DESIGN.md
-// "Simulator kernel v2"), and each kernel is individually
-// deterministic: equal inputs give bit-identical Results.
-type Kernel uint8
-
-const (
-	// KernelV2 (default) is the event-driven kernel: under Proportional
-	// it replaces the per-completion O(accels) rescan with min-heaps of
-	// completion keys on a global virtual clock (O(log accels) per
-	// completion); under WaterFill it keeps the exact frame loop but
-	// sweeps a dense live set instead of every slot.
-	KernelV2 Kernel = iota
-	// KernelV1 is the original frame loop, kept bit-identical as the
-	// reference implementation the v2≡v1 property tests compare against.
-	KernelV1
-)
-
 // KernelVersion is the simulator's numeric-behaviour version. The v2
 // kernel reorders floating-point arithmetic, so fitness values differ
 // from v1 in low-order bits; persisted fitness memos are only valid
@@ -310,7 +291,6 @@ const KernelVersion = 2
 type Options struct {
 	CaptureFrames bool   // record per-frame BW allocations (Fig. 15)
 	Policy        Policy // bandwidth division rule under saturation
-	Kernel        Kernel // Run implementation (default KernelV2)
 }
 
 // Run executes the mapping against the job analysis table. It is a

@@ -280,13 +280,9 @@ func (s *Simulator) finish(now float64, nAccels int) Result {
 	return res
 }
 
-// Run executes the mapping against the job analysis table with the
-// configured kernel. See the Simulator doc comment for the Result
-// ownership rule.
+// Run executes the mapping against the job analysis table. See the
+// Simulator doc comment for the Result ownership rule.
 func (s *Simulator) Run(t *analyzer.Table, m Mapping) (Result, error) {
-	if s.opt.Kernel == KernelV1 {
-		return s.runV1(t, m)
-	}
 	if err := fault.Hit(fault.SimKernel); err != nil {
 		return Result{}, fmt.Errorf("sim: kernel: %w", err)
 	}
@@ -499,10 +495,28 @@ func (s *Simulator) runFrames(t *analyzer.Table, m Mapping) (Result, error) {
 	return s.finish(now, nAccels), nil
 }
 
-// runV1 is the original Algorithm 1 frame loop, kept bit-identical as
-// the reference implementation: every frame re-divides the bandwidth
-// over all slots, rescans for the earliest completion and decrements
-// every live job's remaining work — O(nJobs·nAccels) per run.
+// ReferenceSimulator runs the original Algorithm 1 frame loop (kernel
+// v1): every frame re-divides the bandwidth over all slots, rescans for
+// the earliest completion and decrements every live job's remaining
+// work — O(nJobs·nAccels) per run. It is the reference the v2≡v1
+// property tests and cmd/bench's kernel comparison measure Simulator
+// against, and nothing else may construct it: results agree with
+// Simulator only within the retirement tolerances, so a fitness memo
+// filled by one is not valid for the other. It does not pass the
+// sim.kernel fault point. Same scratch reuse and Result ownership rule
+// as Simulator.
+type ReferenceSimulator struct{ s Simulator }
+
+// NewReferenceSimulator builds a reusable reference simulator.
+func NewReferenceSimulator(opt Options) *ReferenceSimulator {
+	return &ReferenceSimulator{s: Simulator{opt: opt}}
+}
+
+// Run executes the mapping with the frame loop.
+func (r *ReferenceSimulator) Run(t *analyzer.Table, m Mapping) (Result, error) {
+	return r.s.runV1(t, m)
+}
+
 func (s *Simulator) runV1(t *analyzer.Table, m Mapping) (Result, error) {
 	nJobs, nAccels, sysBW, err := s.prepare(t, m)
 	if err != nil {

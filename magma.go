@@ -138,17 +138,14 @@ type Options struct {
 	// answered without re-simulating. Results are bit-identical with the
 	// cache on or off; Schedule.Cache reports the hit/miss counters.
 	Cache bool
-	// CacheSize bounds the cache in entries (0 = implementation default).
+	// CacheSize bounds the cache in entries (0 = implementation
+	// default). It sizes the private Solver of the package-level calls
+	// only: a long-lived Solver's shared store is bounded by
+	// SolverOptions.CacheSize instead.
 	CacheSize int
 	// WarmStart seeds MAGMA's initial population with previously found
 	// schedules of the same group size (§V-C). Ignored by other mappers.
 	WarmStart []Schedule
-	// Solver, when non-nil, runs the search against a long-lived Solver:
-	// analysis tables, evaluator pools and the cross-run fitness cache
-	// persist across calls (results stay bit-identical to per-call runs).
-	// Nil means a private single-use Solver — the historical facade
-	// behavior.
-	Solver *Solver
 	// Bound, with Cache on, arms analytical pruning: each distinct
 	// candidate's roofline makespan lower bound (per-core compute +
 	// platform bandwidth) is converted to a fitness upper bound, and
@@ -245,11 +242,10 @@ func Optimize(g Group, p Platform, opts Options) (Schedule, error) {
 // evaluation cost) and returns the best-so-far schedule with
 // Schedule.Partial set — not an error. A context that is already dead
 // before any generation completes returns the context's error. A thin
-// wrapper over a Solver: the one in opts.Solver when set, otherwise a
-// private single-use one (identical behavior to the historical per-call
-// facade).
+// wrapper over a private single-use Solver sized by opts.CacheSize; use
+// Solver.OptimizeCtx to keep tables and fitness entries across calls.
 func OptimizeCtx(ctx context.Context, g Group, p Platform, opts Options) (Schedule, error) {
-	return solverFor(opts.Solver, opts.CacheSize).OptimizeCtx(ctx, g, p, opts)
+	return privateSolver(opts.CacheSize).OptimizeCtx(ctx, g, p, opts)
 }
 
 func finishSchedule(prob *m3e.Problem, mapping sim.Mapping, genome encoding.Genome, curve []float64, mapper string, obj Objective) (Schedule, error) {
@@ -280,7 +276,7 @@ func finishSchedule(prob *m3e.Problem, mapping sim.Mapping, genome encoding.Geno
 // loop then runs serial to keep the machine exactly Workers-wide. Every
 // mapper keeps the seed it would get from a serial sweep (opts.Seed+i),
 // so the returned schedules are identical for any worker count. A thin
-// wrapper over Solver.Compare (opts.Solver or a private one).
+// wrapper over Solver.Compare on a private single-use Solver.
 func Compare(g Group, p Platform, mappers []string, opts Options) ([]Schedule, error) {
 	return CompareCtx(context.Background(), g, p, mappers, opts)
 }
@@ -293,7 +289,7 @@ func Compare(g Group, p Platform, mappers []string, opts Options) ([]Schedule, e
 // context dies before any mapper evaluates anything does CompareCtx
 // return the context's error.
 func CompareCtx(ctx context.Context, g Group, p Platform, mappers []string, opts Options) ([]Schedule, error) {
-	return solverFor(opts.Solver, opts.CacheSize).CompareCtx(ctx, g, p, mappers, opts)
+	return privateSolver(opts.CacheSize).CompareCtx(ctx, g, p, mappers, opts)
 }
 
 // RenderSchedule writes an ASCII Gantt-style visualization of a

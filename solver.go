@@ -57,8 +57,8 @@ type SolverStats = engine.Stats
 // are safe for concurrent use.
 //
 // The package-level Optimize, OptimizeStream, Compare and Tune are thin
-// wrappers that run on a private single-use Solver unless the passed
-// Options/StreamOptions carry an explicit one.
+// wrappers that run on a private single-use Solver; call the methods of
+// a Solver you keep to share its state across calls.
 type Solver struct {
 	eng  *engine.Engine
 	warm *WarmStore
@@ -82,15 +82,10 @@ func (s *Solver) Stats() SolverStats { return s.eng.Stats() }
 // explicitly into Options.WarmStart.
 func (s *Solver) Warm() *WarmStore { return s.warm }
 
-// solverFor returns the explicitly provided Solver, or a fresh private
-// one — which makes the package-level entry points behave exactly like
-// the historical per-call facade (no state survives the call). The
-// per-call cache bound carries over to the private solver's store; an
-// explicit Solver keeps its own SolverOptions.CacheSize instead.
-func solverFor(s *Solver, cacheSize int) *Solver {
-	if s != nil {
-		return s
-	}
+// privateSolver builds the single-use Solver behind a package-level
+// call (no state survives the call), its shared store bounded by the
+// per-call cache size.
+func privateSolver(cacheSize int) *Solver {
 	return NewSolver(SolverOptions{CacheSize: cacheSize})
 }
 
@@ -145,12 +140,10 @@ func (s *Solver) optimizeHandle(ctx context.Context, h *engine.ProblemHandle, g 
 	res, err := h.RunCtx(ctx, opt, m3e.Options{
 		Budget:          opts.Budget,
 		Workers:         opts.Workers,
-		Cache:           opts.Cache,
-		CacheSize:       opts.CacheSize,
 		EffectiveBudget: opts.EffectiveBudget,
 		Bound:           opts.Bound,
 		Observer:        opts.Progress,
-	}, opts.Seed)
+	}, opts.Cache, opts.Seed)
 	if err != nil {
 		return Schedule{}, err
 	}
@@ -302,20 +295,12 @@ func (s *Solver) OptimizeStreamCtx(ctx context.Context, wl Workload, p Platform,
 			res.Partial = true
 			break
 		}
-		budget := opts.BudgetPerGroup
-		if budget <= 0 {
-			budget = m3e.DefaultBudget / len(wl.Groups)
-		}
-		// Floor: at least 20 generations' worth of samples per group
-		// (population = group size), overriding a too-small BudgetPerGroup.
-		if floor := 20 * len(g.Jobs); budget < floor {
-			budget = floor
-		}
+		seed, budget := opts.GroupPlan(wl, gi)
 		o := Options{
 			Mapper:          opts.Mapper,
 			Objective:       opts.Objective,
 			Budget:          budget,
-			Seed:            opts.Seed + int64(gi),
+			Seed:            seed,
 			Workers:         opts.Workers,
 			Cache:           opts.Cache,
 			CacheSize:       opts.CacheSize,
@@ -406,7 +391,7 @@ func (s *Solver) TuneCtx(ctx context.Context, g Group, p Platform, budget int, t
 		// The cache is pure wall-clock savings here: trials repeat the
 		// identical problem, so the Solver's shared store answers most
 		// of a trial's evaluations from its predecessors.
-		res, err := h.RunCtx(ctx, optmagma.New(cfg), m3e.Options{Budget: budget, Cache: true}, seed)
+		res, err := h.RunCtx(ctx, optmagma.New(cfg), m3e.Options{Budget: budget}, true, seed)
 		if err != nil {
 			mu.Lock()
 			if firstErr == nil {

@@ -40,13 +40,11 @@ func TestSolverCrossRunDeterminism(t *testing.T) {
 	}
 
 	s := NewSolver(SolverOptions{})
-	sOpts := opts
-	sOpts.Solver = s
-	first, err := OptimizeStream(wl, PlatformS2(), sOpts)
+	first, err := s.OptimizeStream(wl, PlatformS2(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := s.OptimizeStream(wl, PlatformS2(), opts) // direct method form
+	second, err := s.OptimizeStream(wl, PlatformS2(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,8 +119,8 @@ func TestSolverConcurrentRequests(t *testing.T) {
 	}
 }
 
-// TestSolverOptimizeAndCompare: the single-group entry points route
-// through an explicit Solver and stay identical to the per-call facade.
+// TestSolverOptimizeAndCompare: the single-group Solver methods stay
+// identical to the per-call facade.
 func TestSolverOptimizeAndCompare(t *testing.T) {
 	g := testGroup(t, Mix, 16)
 	fresh, err := Optimize(g, PlatformS2(), Options{Budget: 150, Seed: 6, Cache: true})
@@ -131,7 +129,7 @@ func TestSolverOptimizeAndCompare(t *testing.T) {
 	}
 	s := NewSolver(SolverOptions{})
 	for rep := 0; rep < 2; rep++ {
-		got, err := Optimize(g, PlatformS2(), Options{Budget: 150, Seed: 6, Cache: true, Solver: s})
+		got, err := s.Optimize(g, PlatformS2(), Options{Budget: 150, Seed: 6, Cache: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -148,7 +146,7 @@ func TestSolverOptimizeAndCompare(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotCmp, err := Compare(g, PlatformS2(), mappers, Options{Budget: 100, Seed: 6, Cache: true, Solver: s})
+	gotCmp, err := s.Compare(g, PlatformS2(), mappers, Options{Budget: 100, Seed: 6, Cache: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,8 +184,8 @@ func TestSolverTuneMatchesPackageTune(t *testing.T) {
 func TestSolverSharedWarm(t *testing.T) {
 	wl := testWorkload(t, Recommendation, 32, 16, 4)
 	s := NewSolver(SolverOptions{})
-	opts := StreamOptions{BudgetPerGroup: 80, Seed: 3, WarmStart: true, SharedWarm: true, Solver: s}
-	res, err := OptimizeStream(wl, PlatformS2(), opts)
+	opts := StreamOptions{BudgetPerGroup: 80, Seed: 3, WarmStart: true, SharedWarm: true}
+	res, err := s.OptimizeStream(wl, PlatformS2(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}

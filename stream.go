@@ -21,25 +21,24 @@ type StreamOptions struct {
 	Workers int
 	// Cache enables the schedule-fingerprint fitness cache per group
 	// search (results are bit-identical either way; see Options.Cache).
-	// With a long-lived Solver the cache additionally persists across
+	// On a long-lived Solver the cache additionally persists across
 	// groups and calls (StreamResult.Cache.CrossHits counts that reuse).
 	Cache bool
-	// CacheSize bounds each group's cache in entries (0 = default).
-	// Ignored when a Solver supplies its shared store.
+	// CacheSize bounds the cache in entries (0 = default). It sizes the
+	// private Solver of the package-level OptimizeStream only; a
+	// long-lived Solver's store is bounded by SolverOptions.CacheSize.
 	CacheSize int
 	// WarmStart chains groups: each group's search is seeded with the
 	// best schedules of earlier groups of the same task type (§V-C).
 	// Only effective for MAGMA.
 	WarmStart bool
-	// SharedWarm, with WarmStart and a long-lived Solver, seeds groups
-	// from (and records into) the Solver's cross-request warm store
-	// instead of a per-call one. Opt-in: cross-request seeding changes
-	// search trajectories, so repeated identical requests are no longer
-	// bit-identical.
+	// SharedWarm, with WarmStart, seeds groups from (and records into)
+	// the Solver's cross-request warm store instead of a per-call one.
+	// Opt-in: cross-request seeding changes search trajectories, so
+	// repeated identical requests are no longer bit-identical. It only
+	// matters on a long-lived Solver (Solver.OptimizeStream); the
+	// package-level call's private Solver starts with an empty store.
 	SharedWarm bool
-	// Solver, when non-nil, runs every group against a long-lived
-	// Solver (see Options.Solver). Nil means a private single-use one.
-	Solver *Solver
 	// EffectiveBudget charges each group's budget only for distinct
 	// schedules (see Options.EffectiveBudget; requires Cache).
 	EffectiveBudget bool
@@ -51,6 +50,25 @@ type StreamOptions struct {
 	// group search with the group index and the live snapshot. Same
 	// contract as Options.Progress: synchronous, keep it fast.
 	Progress func(group int, p Progress)
+}
+
+// GroupPlan returns the seed and sampling budget the stream search of
+// wl gives group gi: the seed advances by group index, an unset
+// BudgetPerGroup splits DefaultBudget evenly over the groups, and every
+// group gets at least 20 generations' worth of samples (20 × its job
+// count, population = group size), overriding a smaller explicit
+// BudgetPerGroup. The fleet router derives each fanned-out group's
+// sub-request from it, so a split stream merges bit-identically to one
+// node's answer.
+func (o StreamOptions) GroupPlan(wl Workload, gi int) (seed int64, budget int) {
+	budget = o.BudgetPerGroup
+	if budget <= 0 {
+		budget = DefaultBudget / len(wl.Groups)
+	}
+	if floor := 20 * len(wl.Groups[gi].Jobs); budget < floor {
+		budget = floor
+	}
+	return o.Seed + int64(gi), budget
 }
 
 // StreamResult aggregates a scheduled workload stream.
@@ -80,7 +98,7 @@ type StreamResult struct {
 // deployment loop of the multi-tenant system (Fig. 1): the host chops
 // the job queue into dependency-free groups, and the mapper places each
 // group, optionally warm-starting from previously solved groups. A thin
-// wrapper over Solver.OptimizeStream (opts.Solver or a private one);
+// wrapper over Solver.OptimizeStream on a private single-use Solver;
 // OptimizeStreamCtx with context.Background().
 func OptimizeStream(wl Workload, p Platform, opts StreamOptions) (StreamResult, error) {
 	return OptimizeStreamCtx(context.Background(), wl, p, opts)
@@ -91,7 +109,7 @@ func OptimizeStream(wl Workload, p Platform, opts StreamOptions) (StreamResult, 
 // group contributes its best-so-far schedule) and sets StreamResult.
 // Partial; see Solver.OptimizeStreamCtx.
 func OptimizeStreamCtx(ctx context.Context, wl Workload, p Platform, opts StreamOptions) (StreamResult, error) {
-	return solverFor(opts.Solver, opts.CacheSize).OptimizeStreamCtx(ctx, wl, p, opts)
+	return privateSolver(opts.CacheSize).OptimizeStreamCtx(ctx, wl, p, opts)
 }
 
 // clockHz exposes the platform clock for cycle-to-time conversion.
